@@ -5,14 +5,20 @@
 //     of serializing scenarios and parallelizing only replications.
 //   * lockstep_grid_per_task / lockstep_grid_lockstep8 — the same dedicated-
 //     backend grid executed in both replication modes: one replication per
-//     task vs lane-groups of K=8 on the lockstep batch kernel.  Before
-//     emitting, every point record of the two runs is compared byte-for-byte
-//     (the lockstep determinism contract); a mismatch fails the bench.
+//     task vs lane-groups of K=8 on the lockstep batch kernel, best of three
+//     alternating runs each.  Before emitting, every point record of the
+//     runs is compared byte-for-byte (the lockstep determinism contract); a
+//     mismatch fails the bench.
+//   * lockstep_sfq_grid_per_task / lockstep_sfq_grid_lockstep8 — the same
+//     pair and check on the grid with the SFQ backend, on one worker (12
+//     lane-group tasks spread unevenly over more workers, which would blur
+//     the per-request comparison).
 //
 //   ./micro_sweep [records.json]
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <utility>
 
 #include "json_bench.hpp"
 #include "sweep/campaign.hpp"
@@ -31,15 +37,15 @@ GridSpec small_grid() {
   return grid;
 }
 
-/// Dedicated-backend-only grid: every point is lockstep-eligible, so the
-/// mode comparison measures the kernel, not the fallback path.
-GridSpec lockstep_grid() {
+/// Single-backend grid: every point is lockstep-eligible, so the mode
+/// comparison measures the kernel, not the fallback path.
+GridSpec lockstep_grid(BackendKind backend) {
   GridSpec grid;
   grid.base.warmup_tu = 500.0;
   grid.base.measure_tu = 10000.0;
   grid.loads = {0.3, 0.5, 0.7, 0.9};
   grid.deltas = {{1.0, 2.0}, {1.0, 4.0}, {1.0, 8.0}};
-  grid.backends = {BackendKind::kDedicated};
+  grid.backends = {backend};
   return grid;
 }
 
@@ -55,12 +61,14 @@ struct ModeRun {
 };
 
 ModeRun run_mode(const GridSpec& grid, std::size_t runs,
-                 ReplicationMode mode, std::size_t lanes) {
+                 ReplicationMode mode, std::size_t lanes,
+                 std::size_t threads) {
   CampaignOptions opt;
   opt.runs = runs;
   opt.master_seed = 42;
   opt.replication_mode = mode;
   opt.lockstep_lanes = lanes;
+  opt.threads = threads;
   ModeRun out;
   out.result = run_campaign(grid, opt);
   for (const auto& p : out.result.points) {
@@ -69,7 +77,7 @@ ModeRun run_mode(const GridSpec& grid, std::size_t runs,
   return out;
 }
 
-void emit_mode_record(const std::string& path, const char* bench,
+void emit_mode_record(const std::string& path, const std::string& bench,
                       const char* impl, const ModeRun& run, double speedup) {
   const double wall_ns = run.result.wall_seconds * 1e9;
   const double ns_per_request =
@@ -85,6 +93,66 @@ void emit_mode_record(const std::string& path, const char* bench,
       path, "sweep", bench, extra,
       wall_ns / static_cast<double>(run.result.points.size()),
       run.result.points.size());
+}
+
+/// Determinism cross-check: the two modes must render identical records.
+bool same_records(const std::string& bench, const ModeRun& a,
+                  const ModeRun& b) {
+  if (a.result.points.size() != b.result.points.size()) {
+    std::fprintf(stderr, "%s: point count mismatch\n", bench.c_str());
+    return false;
+  }
+  for (std::size_t i = 0; i < a.result.points.size(); ++i) {
+    if (a.result.points[i].record != b.result.points[i].record) {
+      std::fprintf(stderr, "%s: record %zu differs between modes\n",
+                   bench.c_str(), i);
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Run `grid` per task and in lane groups of K=8, alternating the modes
+/// three times and keeping each mode's fastest run (one ~30 ms run of
+/// either mode swings by tens of percent on a shared host).  Fails on any
+/// record that differs between the modes, then emits `<bench>_per_task`
+/// and `<bench>_lockstep8`.  Returns false on a mismatch.
+bool compare_modes(const std::string& path, const std::string& bench,
+                   const GridSpec& grid, std::size_t runs,
+                   std::size_t threads) {
+  const std::size_t kLanes = 8;
+  const int kRepeats = 3;
+  ModeRun per_task, lockstep;
+  for (int k = 0; k < kRepeats; ++k) {
+    ModeRun a =
+        run_mode(grid, runs, ReplicationMode::kPerTask, kLanes, threads);
+    ModeRun b =
+        run_mode(grid, runs, ReplicationMode::kLockstep, kLanes, threads);
+    if (!same_records(bench, a, b)) return false;
+    if (k == 0 || a.result.wall_seconds < per_task.result.wall_seconds) {
+      per_task = std::move(a);
+    }
+    if (k == 0 || b.result.wall_seconds < lockstep.result.wall_seconds) {
+      lockstep = std::move(b);
+    }
+  }
+
+  const double speedup =
+      lockstep.result.wall_seconds > 0.0
+          ? per_task.result.wall_seconds / lockstep.result.wall_seconds
+          : 0.0;
+  std::printf(
+      "%s: %zu points x %zu runs — per-task %.2fs (%.2f points/s),"
+      " lockstep(K=%zu) %.2fs (%.2f points/s) — %.2fx, records identical\n",
+      bench.c_str(), per_task.result.points.size(), runs,
+      per_task.result.wall_seconds, per_task.result.points_per_sec(), kLanes,
+      lockstep.result.wall_seconds, lockstep.result.points_per_sec(),
+      speedup);
+
+  emit_mode_record(path, bench + "_per_task", "per_task", per_task, 1.0);
+  emit_mode_record(path, bench + "_lockstep8", "lockstep8", lockstep,
+                   speedup);
+  return true;
 }
 
 }  // namespace
@@ -130,42 +198,14 @@ int main(int argc, char** argv) {
                          static_cast<double>(result.points.size()),
                      result.points.size());
 
-  // --- per-task vs lockstep(K=8) on the dedicated-only grid ---
-  const GridSpec lgrid = lockstep_grid();
-  const std::size_t kLanes = 8;
-  const auto per_task =
-      run_mode(lgrid, kRuns, ReplicationMode::kPerTask, kLanes);
-  const auto lockstep =
-      run_mode(lgrid, kRuns, ReplicationMode::kLockstep, kLanes);
-
-  // Determinism cross-check: the two modes must render identical records.
-  if (per_task.result.points.size() != lockstep.result.points.size()) {
-    std::fprintf(stderr, "lockstep bench: point count mismatch\n");
+  // --- per-task vs lockstep(K=8), dedicated and SFQ grids ---
+  if (!compare_modes(path, "lockstep_grid",
+                     lockstep_grid(BackendKind::kDedicated), kRuns,
+                     /*threads=*/0) ||
+      !compare_modes(path, "lockstep_sfq_grid",
+                     lockstep_grid(BackendKind::kSfq), kRuns,
+                     /*threads=*/1)) {
     return 1;
   }
-  for (std::size_t i = 0; i < per_task.result.points.size(); ++i) {
-    if (per_task.result.points[i].record !=
-        lockstep.result.points[i].record) {
-      std::fprintf(stderr,
-                   "lockstep bench: record %zu differs between modes\n", i);
-      return 1;
-    }
-  }
-
-  const double speedup =
-      lockstep.result.wall_seconds > 0.0
-          ? per_task.result.wall_seconds / lockstep.result.wall_seconds
-          : 0.0;
-  std::printf(
-      "lockstep grid: %zu points x %zu runs — per-task %.2fs (%.2f points/s),"
-      " lockstep(K=%zu) %.2fs (%.2f points/s) — %.2fx, records identical\n",
-      per_task.result.points.size(), kRuns, per_task.result.wall_seconds,
-      per_task.result.points_per_sec(), kLanes,
-      lockstep.result.wall_seconds, lockstep.result.points_per_sec(),
-      speedup);
-
-  emit_mode_record(path, "lockstep_grid_per_task", "per_task", per_task, 1.0);
-  emit_mode_record(path, "lockstep_grid_lockstep8", "lockstep8", lockstep,
-                   speedup);
   return 0;
 }

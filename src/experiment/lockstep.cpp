@@ -2,11 +2,16 @@
 // single task (see lockstep.hpp for the contract, lane_stepper.hpp for the
 // slot-order/tie-break reproduction argument).
 //
-// Two-level drain structure.  Between reallocation ticks the dedicated-rate
-// server's classes are independent: rates only change at ticks (or, under
-// kFinishAtOldRate, to the tick-published pending value), and every other
-// piece of state — queue, slot, draw block, metrics accumulators — is
-// per-class.  The kernel exploits that:
+// One kernel serves both eligible backends.  Lane state, draw blocks, the
+// estimator roll + allocation, the metrics mirror and the result collection
+// are shared; the backends differ only in their event loop and in how a
+// reallocation tick applies the new rates.
+//
+// Dedicated rates: two-level drain.  Between reallocation ticks the
+// dedicated-rate server's classes are independent: rates only change at
+// ticks (or, under kFinishAtOldRate, to the tick-published pending value),
+// and every other piece of state — queue, slot, draw block, metrics
+// accumulators — is per-class.  The kernel exploits that:
 //
 //   1. drain_class() bursts one (lane, class) pair through all its events
 //      strictly before the chunk boundary in a register-resident two-clock
@@ -21,15 +26,21 @@
 // only ever influences the request-record vector — so when request
 // recording is on, step_lane() takes the generic scan for the whole run.
 //
+// SFQ: one shared processor couples the classes through its virtual time,
+// so there is no per-class burst.  sfq_drain() runs each lane's events one
+// at a time through the shared arrive/complete/tick steps, with the
+// SfqBackend mirror (per-class rings behind one tagged head-of-line entry,
+// minimum-start-tag dispatch, non-preemptive service at full capacity) in
+// place of the task servers; a tick only refreshes the tag weights.
+//
 // The hot-path collaborators (WaitingQueue, MetricsCollector,
 // LoadEstimator) are mirrored inline rather than called: same state, same
 // statement order, same floating-point arithmetic — the mirrors exist so
 // the accumulators can live in registers inside drain_class().  Quantities
 // a mirror tracks that RunResult never reads (queue occupancy stats, the
-// estimator's work-rate series) are dropped or accumulated in a cheaper
-// order; everything RunResult reads is op-for-op identical.  The
-// equivalence tests in tests/test_lockstep.cpp pin all of this against
-// run_scenario bit for bit.
+// service-time mean, the estimator's work sums) are dropped; everything
+// RunResult reads is op-for-op identical.  The equivalence tests in
+// tests/test_lockstep.cpp pin all of this against run_scenario bit for bit.
 #include "experiment/lockstep.hpp"
 
 #include <algorithm>
@@ -51,14 +62,15 @@ bool lockstep_eligible(const ScenarioConfig& cfg) {
   // Admission gates hook Server::submit (shed bookkeeping the kernel's
   // per-class mirrors don't reproduce), so gated configs take the per-lane
   // fallback path.
-  return cfg.cluster_nodes == 1 && cfg.backend == BackendKind::kDedicated &&
-         !cfg.admission.active();
+  return cfg.cluster_nodes == 1 && !cfg.admission.active() &&
+         (cfg.backend == BackendKind::kDedicated ||
+          cfg.backend == BackendKind::kSfq);
 }
 
 namespace {
 
-// Same completion-time floor as sched/dedicated_rate.cpp: a paused class
-// (rate ~ 0) must keep a finite completion time.
+// Same rate floor as sched/dedicated_rate.cpp (a paused class must keep a
+// finite completion time) and sched/sfq.cpp (its tag weight floor).
 constexpr double kMinRate = 1e-9;
 
 /// A waiting request carries only what service assignment needs; the
@@ -139,15 +151,16 @@ struct SeriesMirror {
   }
 };
 
-/// One archived estimator window (LoadEstimator::WindowCounters mirror).
+/// One archived estimator window (LoadEstimator::WindowCounters mirror,
+/// arrival counts only: the work sums never reach the allocator).
 struct EstWindow {
   std::vector<std::uint64_t> arrivals;
-  std::vector<double> work;
   Duration length = 0.0;
 };
 
 /// All mutable state of one replication lane.
 struct Lane {
+  /// One server: a class's dedicated task server, or the SFQ processor.
   struct Slot {
     Request current;
     Work remaining = 0.0;
@@ -159,20 +172,32 @@ struct Lane {
   std::vector<ArrivalVariant> arrivals;  ///< Value copies of the prototypes.
   std::vector<std::uint64_t> gen_count;  ///< Requests generated per class.
   std::vector<Ring> queues;
-  std::vector<Slot> slots;
+  std::vector<Slot> slots;  ///< n task servers, or one SFQ processor.
 
-  // MetricsCollector mirror: whole-run accumulators + per-window series.
-  std::vector<MeanStat> m_slowdown, m_delay, m_service;
+  // SfqBackend mirror (SFQ lanes only): each class's tagged head-of-line
+  // entry sits in front of its ring; a start tag of kInf means none is
+  // tagged (real tags are finite).
+  std::vector<QEntry> hol;
+  std::vector<double> hol_tag;
+  std::vector<double> last_finish;  ///< F_c per class.
+  double vtime = 0.0;               ///< Start tag of the request in service.
+  // Whether the pending completion was scheduled before the pending tick:
+  // at equal times EventQueue fires the earlier-scheduled one first.  A
+  // dispatch schedules its completion after the pending tick (the first
+  // tick is scheduled at Server::start); a tick schedules the next one
+  // after the pending completion.
+  bool done_scheduled_first = false;
+
+  // MetricsCollector mirror: the whole-run accumulators RunResult reads +
+  // per-window series.
+  std::vector<MeanStat> m_slowdown, m_delay;
   std::vector<SeriesMirror> series;
   std::vector<Request> records;
 
-  // LoadEstimator mirror.  est_work is accumulated per burst rather than
-  // per arrival — a different FP summation order than the per-task path,
-  // which is safe because only the count-based lambda estimate (integer
+  // LoadEstimator mirror: only the count-based lambda estimate (integer
   // counts / window length) ever reaches the allocator or RunResult.
   Time est_window_start = 0.0;
   std::vector<std::uint64_t> est_arrivals;
-  std::vector<double> est_work;
   std::deque<EstWindow> est_closed;
 
   std::unique_ptr<RateAllocator> allocator;
@@ -181,19 +206,22 @@ struct Lane {
   std::uint64_t submitted = 0;
   std::uint64_t reallocs = 0;
 
-  Lane(const ServerConfig& sc, std::size_t n)
+  Lane(const ServerConfig& sc, std::size_t n, bool sfq)
       : gen_count(n, 0),
         queues(n),
-        slots(n),
+        slots(sfq ? 1 : n),
         m_slowdown(n),
         m_delay(n),
-        m_service(n),
         series(n),
-        est_arrivals(n, 0),
-        est_work(n, 0.0) {
+        est_arrivals(n, 0) {
     for (auto& s : series) {
       s.current_start = sc.metrics.warmup_end;
       s.window = sc.metrics.window;
+    }
+    if (sfq) {
+      hol.resize(n);
+      hol_tag.assign(n, kInf);
+      last_finish.assign(n, 0.0);
     }
   }
 
@@ -224,12 +252,13 @@ struct Lane {
   }
 };
 
-/// The lane-stepped replication kernel for eligible (single-node,
-/// dedicated-rate) scenarios.  Slot layout per lane — the index order IS the
-/// per-task tie-break order (see lane_stepper.hpp):
+/// The lane-stepped replication kernel for eligible (single-node, dedicated
+/// or SFQ, ungated) scenarios.  Slot layout per lane (see lane_stepper.hpp
+/// for how it reproduces the per-task tie-break order):
 ///   [0]        reallocation tick (a heap event in the per-task path),
 ///   [1..n]     per-class arrival streams (tie rank 0),
-///   [n+1..2n]  per-class completion streams (tie rank 1).
+///   [n+1..2n]  dedicated: per-class completion streams (tie rank 1);
+///   [n+1]      SFQ: the processor's completion (a heap event).
 class LockstepKernel {
  public:
   LockstepKernel(const ScenarioConfig& cfg, std::uint64_t first_run_index,
@@ -240,8 +269,10 @@ class LockstepKernel {
         n_(cfg.num_classes()),
         sc_(detail::node_server_config(cfg, unit_)),
         realloc_on_(sc_.realloc_period > 0.0),
-        finish_at_old_(cfg.rate_change == RateChangePolicy::kFinishAtOldRate),
-        clocks_(lanes, 2 * n_ + 1),
+        sfq_(cfg.backend == BackendKind::kSfq),
+        finish_at_old_(!sfq_ &&
+                       cfg.rate_change == RateChangePolicy::kFinishAtOldRate),
+        clocks_(lanes, 1 + n_ + (sfq_ ? 1 : n_)),
         blocks_(lanes, n_) {
     // Shared immutable tables: one sampler (ziggurat/alias data shared by
     // every lane through its value copy) and one arrival prototype per
@@ -259,10 +290,10 @@ class LockstepKernel {
     for (std::size_t l = 0; l < lanes; ++l) {
       // Same stream derivation as run_scenario: run_rng = master.fork(index),
       // generator i draws from run_rng.fork(i).  (The per-task path also
-      // forks index 1000 for the server; the dedicated backend never uses
-      // it, and fork() is const, so skipping it changes nothing.)
+      // forks index 1000 for the server; neither eligible backend uses it,
+      // and fork() is const, so skipping it changes nothing.)
       const Rng run_rng = master.fork(first_run_index + l);
-      Lane lane(sc_, n_);
+      Lane lane(sc_, n_, sfq_);
       for (std::size_t i = 0; i < n_; ++i) {
         lane.gen_rng.push_back(run_rng.fork(i));
       }
@@ -276,12 +307,12 @@ class LockstepKernel {
       }
       lanes_.push_back(std::move(lane));
 
+      // Completion slots keep the grid's initial kInf until service starts.
       Time* clocks = clocks_.lane(l);
       clocks[0] = realloc_on_ ? sc_.realloc_period : kInf;  // origin 0.0
       for (std::size_t i = 0; i < n_; ++i) {
         // RequestGenerator::start(0.0): first arrival one gap after origin.
         clocks[1 + i] = 0.0 + next_gap(l, i);
-        clocks[1 + n_ + i] = kInf;  // completion slots idle until service
       }
     }
   }
@@ -318,6 +349,10 @@ class LockstepKernel {
   }
 
   void step_lane(std::size_t l, Time limit) {
+    if (sfq_) {
+      sfq_drain(l, limit);
+      return;
+    }
     // Request records are the one output ordered by cross-class completion
     // time; burst-draining classes one at a time would reorder them, so a
     // recording run takes the generic scan throughout.
@@ -361,11 +396,9 @@ class LockstepKernel {
     std::uint64_t gen = lane.gen_count[c];
     std::uint64_t arrivals_seen = 0;
     std::uint64_t est_count = 0;
-    double est_work = 0.0;
 
     MeanStat sd_stat = lane.m_slowdown[c];
     MeanStat dl_stat = lane.m_delay[c];
-    MeanStat sv_stat = lane.m_service[c];
     SeriesMirror& series = lane.series[c];
     Time win_start = series.current_start;
     const Duration win_len = series.window;
@@ -387,10 +420,7 @@ class LockstepKernel {
         const RequestId id = id_hi | gen;
         ++gen;
         ++arrivals_seen;
-        if (est_on) {
-          ++est_count;
-          est_work += size;
-        }
+        if (est_on) ++est_count;
         if (busy) {
           ring.push({id, t, size});
         } else {
@@ -421,7 +451,6 @@ class LockstepKernel {
           const double sd = delay / service_elapsed;
           sd_stat.add(sd);
           dl_stat.add(delay);
-          sv_stat.add(service_elapsed);
           Time tt = t;
           if (tt < win_start) tt = win_start;
           while (tt >= win_start + win_len) {  // IntervalSeries::roll_to
@@ -473,20 +502,18 @@ class LockstepKernel {
     lane.gen_count[c] = gen;
     lane.submitted += arrivals_seen;
     lane.est_arrivals[c] += est_count;
-    lane.est_work[c] += est_work;
     lane.m_slowdown[c] = sd_stat;
     lane.m_delay[c] = dl_stat;
-    lane.m_service[c] = sv_stat;
     series.current_start = win_start;
     series.count = win_count;
     series.sum = win_sum;
     series.max = win_max;
   }
 
-  /// Drain one lane's remaining events with fire_time <= limit in full
-  /// per-task order: earliest time first, slot index breaking ties.  After
-  /// the burst drains this fires the reallocation tick and any boundary
-  /// ties; with request recording on it carries the whole run.
+  /// Drain one dedicated lane's remaining events with fire_time <= limit in
+  /// full per-task order: earliest time first, slot index breaking ties.
+  /// After the burst drains this fires the reallocation tick and any
+  /// boundary ties; with request recording on it carries the whole run.
   void generic_drain(std::size_t l, Time limit) {
     Time* clocks = clocks_.lane(l);
     Lane& lane = lanes_[l];
@@ -505,45 +532,66 @@ class LockstepKernel {
     }
   }
 
-  /// RequestGenerator::arrive + Server::submit + DedicatedRateBackend
-  /// notify_arrival/start_service, flattened.  When the class's task server
-  /// is idle its queue is empty (the backend starts service immediately on
-  /// arrival), so the push/pop ring round-trip is pure bookkeeping — the
-  /// kernel starts service on the arriving request directly; queue-internal
-  /// occupancy stats are not part of RunResult.
+  /// The SFQ lane's event loop: events with fire_time <= limit in
+  /// Simulator::run_until's order.  The tick [0] and the completion [n+1]
+  /// are heap events: both fire before arrival streams at equal times, and
+  /// between themselves in schedule order.  Arrivals are rank-0 streams,
+  /// so the lowest class wins their ties.
+  void sfq_drain(std::size_t l, Time limit) {
+    Time* clocks = clocks_.lane(l);
+    Lane& lane = lanes_[l];
+    for (;;) {
+      const Time tick_t = clocks[0];
+      const Time done_t = clocks[1 + n_];
+      const bool done_first =
+          done_t < tick_t ||
+          (done_t == tick_t && lane.done_scheduled_first);
+      const Time heap_t = done_first ? done_t : tick_t;
+      const std::size_t cls = LaneClockGrid::next_slot(clocks + 1, n_);
+      const Time arr_t = clocks[1 + cls];
+      if (arr_t < heap_t) {
+        if (!(arr_t <= limit)) return;
+        arrive(l, lane, clocks, cls, arr_t);
+      } else if (!(heap_t <= limit)) {
+        return;
+      } else if (done_first) {
+        complete(lane, clocks, 0, heap_t);
+      } else {
+        realloc_tick(lane, clocks, heap_t);
+      }
+    }
+  }
+
+  /// RequestGenerator::arrive + Server::submit, flattened, then the
+  /// backend's notify_arrival.  When a dedicated task server is idle its
+  /// queue is empty (the backend starts service immediately on arrival), so
+  /// the push/pop ring round-trip is pure bookkeeping — the kernel starts
+  /// service on the arriving request directly; queue-internal occupancy
+  /// stats are not part of RunResult.
   void arrive(std::size_t l, Lane& lane, Time* clocks, std::size_t cls,
               Time t) {
     auto& cursor = blocks_.cursor(l, cls);
-    Request req;
-    req.id = (static_cast<RequestId>(cls) << 48) | lane.gen_count[cls];
-    req.cls = static_cast<ClassId>(cls);
-    req.arrival = t;
-    req.size = blocks_.size_slice(l, cls)[cursor];
+    const QEntry req{(static_cast<RequestId>(cls) << 48) | lane.gen_count[cls],
+                     t, blocks_.size_slice(l, cls)[cursor]};
     ++cursor;
     ++lane.gen_count[cls];
 
     ++lane.submitted;
-    if (realloc_on_) {
-      ++lane.est_arrivals[cls];
-      lane.est_work[cls] += req.size;
-    }
-    Lane::Slot& slot = lane.slots[cls];
-    if (slot.busy) {
-      lane.queues[cls].push({req.id, req.arrival, req.size});
+    if (realloc_on_) ++lane.est_arrivals[cls];
+    if (sfq_) {
+      sfq_arrive(lane, clocks, cls, req, t);
+    } else if (lane.slots[cls].busy) {
+      lane.queues[cls].push(req);
     } else {
-      slot.current = req;
-      slot.current.service_start = t;
-      slot.remaining = req.size;
-      slot.last_settle = t;
-      slot.busy = true;
-      schedule_completion(lane, clocks, cls, t);
+      start_service(lane, clocks, cls, cls, req, t);
     }
     clocks[1 + cls] = t + next_gap(l, cls);
   }
 
-  /// DedicatedRateBackend::complete + start_service, flattened.
-  void complete(Lane& lane, Time* clocks, std::size_t cls, Time t) {
-    Lane::Slot& slot = lane.slots[cls];
+  /// DedicatedRateBackend::complete or SfqBackend::complete on server `s`,
+  /// flattened, followed by the backend's next service start.
+  void complete(Lane& lane, Time* clocks, std::size_t s, Time t) {
+    Lane::Slot& slot = lane.slots[s];
     PSD_CHECK(slot.busy, "completion for idle lane slot");
     Request done = slot.current;
     done.departure = t;
@@ -551,23 +599,89 @@ class LockstepKernel {
     slot.busy = false;
     slot.remaining = 0.0;
     if (finish_at_old_ && !lane.pending_rates.empty()) {
-      lane.rates[cls] = lane.pending_rates[cls];
+      lane.rates[s] = lane.pending_rates[s];
     }
     on_complete(lane, done);
-    if (!lane.queues[cls].empty()) {
-      const QEntry e = lane.queues[cls].pop_front();
-      slot.current.id = e.id;
-      slot.current.cls = static_cast<ClassId>(cls);
-      slot.current.arrival = e.arrival;
-      slot.current.size = e.size;
-      slot.current.service_start = t;
-      slot.remaining = e.size;
-      slot.last_settle = t;
-      slot.busy = true;
-      schedule_completion(lane, clocks, cls, t);
+    if (sfq_) {
+      sfq_dispatch(lane, clocks, t);
+    } else if (!lane.queues[s].empty()) {
+      const QEntry e = lane.queues[s].pop_front();
+      start_service(lane, clocks, s, s, e, t);
     } else {
-      clocks[1 + n_ + cls] = kInf;
+      clocks[1 + n_ + s] = kInf;
     }
+  }
+
+  /// Start serving `e` (class `cls`) on server `s` and schedule its
+  /// completion: at the class rate on a dedicated task server, at full
+  /// capacity on the SFQ processor (SfqBackend::dispatch's after_fast, a
+  /// heap event scheduled after the pending tick).
+  void start_service(Lane& lane, Time* clocks, std::size_t s,
+                     std::size_t cls, const QEntry& e, Time t) {
+    Lane::Slot& slot = lane.slots[s];
+    slot.current.id = e.id;
+    slot.current.cls = static_cast<ClassId>(cls);
+    slot.current.arrival = e.arrival;
+    slot.current.size = e.size;
+    slot.current.service_start = t;
+    slot.remaining = e.size;
+    slot.last_settle = t;
+    slot.busy = true;
+    if (sfq_) {
+      clocks[1 + n_] = t + e.size / cfg_.capacity;
+      lane.done_scheduled_first = false;
+    } else {
+      schedule_completion(lane, clocks, s, t);
+    }
+  }
+
+  /// SfqBackend::notify_arrival: a class with no tagged head of line has
+  /// an empty ring (every dispatch promotes the next queued request), so
+  /// the arrival is tagged at once; otherwise it queues.  An idle processor
+  /// dispatches immediately.
+  void sfq_arrive(Lane& lane, Time* clocks, std::size_t cls, const QEntry& e,
+                  Time t) {
+    if (lane.hol_tag[cls] == kInf) {
+      sfq_tag(lane, cls, e);
+    } else {
+      lane.queues[cls].push(e);
+    }
+    if (!lane.slots[0].busy) sfq_dispatch(lane, clocks, t);
+  }
+
+  /// Tag `e` as class `cls`'s head of line: start tag S = max(V, F_c),
+  /// finish tag F_c = S + size / w_c with SfqBackend's weight floor.
+  void sfq_tag(Lane& lane, std::size_t cls, const QEntry& e) {
+    const double start = std::max(lane.vtime, lane.last_finish[cls]);
+    lane.last_finish[cls] =
+        start + e.size / std::max(lane.rates[cls], kMinRate);
+    lane.hol[cls] = e;
+    lane.hol_tag[cls] = start;
+  }
+
+  /// SfqBackend::dispatch: serve the head of line with the minimum start
+  /// tag (lowest class on ties), promote that class's next queued request,
+  /// or go idle when nothing is tagged.
+  void sfq_dispatch(Lane& lane, Time* clocks, Time t) {
+    std::size_t best = n_;
+    double best_tag = kInf;
+    for (std::size_t c = 0; c < n_; ++c) {
+      if (lane.hol_tag[c] < best_tag) {
+        best = c;
+        best_tag = lane.hol_tag[c];
+      }
+    }
+    if (best == n_) {
+      clocks[1 + n_] = kInf;
+      return;
+    }
+    const QEntry e = lane.hol[best];
+    lane.hol_tag[best] = kInf;
+    lane.vtime = best_tag;
+    if (!lane.queues[best].empty()) {
+      sfq_tag(lane, best, lane.queues[best].pop_front());
+    }
+    start_service(lane, clocks, 0, best, e, t);
   }
 
   /// MetricsCollector::on_complete, mirrored (same statement order).
@@ -576,7 +690,6 @@ class LockstepKernel {
     const double sd = req.slowdown();
     lane.m_slowdown[req.cls].add(sd);
     lane.m_delay[req.cls].add(req.delay());
-    lane.m_service[req.cls].add(req.service_elapsed);
     lane.series[req.cls].add(req.departure, sd);
     if (sc_.metrics.record_requests &&
         req.departure >= sc_.metrics.record_from &&
@@ -585,9 +698,9 @@ class LockstepKernel {
     }
   }
 
-  /// Server::realloc_tick + DedicatedRateBackend::set_rates, flattened —
-  /// same statement order, so the floating-point settle/reschedule
-  /// arithmetic matches the per-task path operation for operation.
+  /// Server::realloc_tick + the backend's set_rates, flattened — same
+  /// statement order, so the floating-point settle/reschedule arithmetic
+  /// matches the per-task path operation for operation.
   void realloc_tick(Lane& lane, Time* clocks, Time t) {
     // LoadEstimator::roll, mirrored.
     {
@@ -595,21 +708,23 @@ class LockstepKernel {
       PSD_REQUIRE(len > 0.0, "roll() before any time elapsed");
       EstWindow w;
       w.arrivals = lane.est_arrivals;
-      w.work = lane.est_work;
       w.length = len;
       lane.est_closed.push_back(std::move(w));
       while (lane.est_closed.size() > sc_.estimator_history) {
         lane.est_closed.pop_front();
       }
       lane.est_arrivals.assign(n_, 0);
-      lane.est_work.assign(n_, 0.0);
       lane.est_window_start = t;
     }
     lane.allocator->observe_slowdowns(lane.last_window_slowdowns(n_));
-    const std::vector<double> next =
+    std::vector<double> next =
         lane.allocator->allocate(lane.lambda_estimate(n_));
     PSD_CHECK(next.size() == n_, "allocator size mismatch");
-    if (finish_at_old_) {
+    if (sfq_) {
+      // SfqBackend::set_rates: the rates weight later tags only; the head
+      // of line and the request in service keep theirs.
+      lane.rates = std::move(next);
+    } else if (finish_at_old_) {
       // Idle classes adopt immediately; busy ones at their next completion.
       lane.pending_rates = next;
       for (std::size_t cls = 0; cls < n_; ++cls) {
@@ -628,7 +743,9 @@ class LockstepKernel {
       }
     }
     ++lane.reallocs;
-    clocks[0] = t + sc_.realloc_period;  // PeriodicProcess: next = t + period
+    // PeriodicProcess::fire schedules the next tick after the tick body.
+    clocks[0] = t + sc_.realloc_period;
+    lane.done_scheduled_first = true;
   }
 
   void schedule_completion(Lane& lane, Time* clocks, std::size_t cls,
@@ -672,6 +789,7 @@ class LockstepKernel {
   const std::size_t n_;
   const ServerConfig sc_;
   const bool realloc_on_;
+  const bool sfq_;
   const bool finish_at_old_;
   LaneClockGrid clocks_;
   LaneDrawBlocks blocks_;

@@ -6,13 +6,14 @@
 // registry, InlineFunction dispatch, the Server/backend virtual call chain —
 // with a flat per-lane loop over a SoA clock grid.  Every piece of stateful
 // arithmetic (WaitingQueue, MetricsCollector, LoadEstimator, the allocator,
-// the sampler/arrival draw streams, the dedicated-rate slot updates in the
-// same floating-point operation order) is the same code or the same ops as
-// the per-task path, so per-lane results are BITWISE identical to
-// run_scenario(cfg, first_run_index + lane) — the contract
-// tests/test_lockstep.cpp pins.  Shared immutable tables (the sampler's
-// ziggurat/alias data, the arrival prototypes, the scenario protocol) are
-// built once per point and shared across lanes.
+// the sampler/arrival draw streams, the dedicated-rate slot updates and the
+// SFQ start/finish tags in the same floating-point operation order) is the
+// same code or the same ops as the per-task path, and events fire in
+// Simulator::run_until's order, so per-lane results are BITWISE identical
+// to run_scenario(cfg, first_run_index + lane) — the contract
+// tests/test_lockstep.cpp pins for both backends.  Shared immutable tables
+// (the sampler's ziggurat/alias data, the arrival prototypes, the scenario
+// protocol) are built once per point and shared across lanes.
 #pragma once
 
 #include <cstdint>
@@ -22,10 +23,12 @@
 
 namespace psd {
 
-/// True when `cfg` runs on the lane-stepped kernel: single node with the
-/// dedicated-rate backend (the paper's model — every campaign default).
-/// Other backends/cluster scenarios still accept lockstep scheduling; each
-/// lane of the group just executes the regular per-task path.
+/// True when `cfg` runs on the lane-stepped kernel: a single node without
+/// an admission gate, on the dedicated-rate backend (the paper's model —
+/// every campaign default) or the SFQ backend (its one-processor
+/// realisation).  Other backends, gated and cluster scenarios still accept
+/// lockstep scheduling; each lane of the group just executes the regular
+/// per-task path.
 bool lockstep_eligible(const ScenarioConfig& cfg);
 
 /// Run `lanes` replications with run indices first_run_index ..

@@ -5,12 +5,13 @@
 // K independent replications ("lanes") of one scenario run inside a single
 // task.  Each lane owns a fixed set of recurring time sources ("slots") —
 // for the PSD server: one reallocation tick, one arrival stream per class,
-// one completion stream per class — laid out contiguously per lane so a
+// and the completions of its servers — laid out contiguously per lane so a
 // lane's entire timeline state is one cache line for typical class counts.
 //
-// The event-ordering contract of the heap+stream Simulator is reproduced by
-// *slot index order* alone: next_slot() is a strict first-minimum scan, so
-// at equal fire times the lowest-indexed slot wins.  Arranging slots as
+// Dedicated-rate lanes: the event-ordering contract of the heap+stream
+// Simulator is reproduced by *slot index order* alone.  next_slot() is a
+// strict first-minimum scan, so at equal fire times the lowest-indexed slot
+// wins.  Arranging slots as
 //
 //   [0]          heap events (the periodic reallocation tick)
 //   [1 .. S]     rank-0 streams in registration order (arrival generators)
@@ -25,6 +26,15 @@
 // completion slot pair strictly below the boundary — legal because classes
 // are independent between ticks — and uses this scan for the tick and
 // boundary ties; see lockstep.cpp.)
+//
+// SFQ lanes: the layout is [0] tick, [1 .. S] arrivals, [S+1] the shared
+// processor's completion.  Both the tick and that completion are heap
+// events in the per-task path (PeriodicProcess and SfqBackend schedule
+// them on the EventQueue), so no fixed index order fits: the kernel fires
+// whichever of the two is earlier, at equal times the one scheduled first
+// (EventQueue's (time, sequence) order, mirrored by a per-lane flag), and
+// runs an arrival first only when it is strictly earlier —
+// next_slot() over [1 .. S] picks the arrival, lowest class on ties.
 //
 // Lanes advance through shared chunk boundaries round-robin (lane 0 to the
 // boundary, then lane 1, ...), which keeps every lane's working set warm

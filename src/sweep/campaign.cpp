@@ -212,7 +212,7 @@ CampaignResult run_campaign(
 
     for (std::size_t r0 = 0; r0 < options.runs; r0 += group) {
       const std::size_t count = std::min(group, options.runs - r0);
-      pool->submit([&, i, r0, count] {
+      pool->submit([&, i, r0, count, group] {
         PointState& st = state[i];
         PointOutcome& outcome = out.points[i];
         const auto rep0 = std::chrono::steady_clock::now();

@@ -1,6 +1,7 @@
 // Lockstep batch kernel: per-lane results must be BITWISE identical to the
-// per-task path at the same derived seeds — across allocators, rate-change
-// policies, arrival shapes, profiles, class counts and recording — plus the
+// per-task path at the same derived seeds — for the dedicated and the SFQ
+// backend, across allocators, rate-change policies, arrival shapes,
+// profiles, class counts, recording and exact time ties — plus the
 // ragged-tail group split and campaign JSONL byte-identity in both modes.
 #include <gtest/gtest.h>
 
@@ -10,6 +11,7 @@
 #include "experiment/lockstep.hpp"
 #include "experiment/runner.hpp"
 #include "sweep/campaign.hpp"
+#include "sweep/grid.hpp"
 
 namespace psd {
 namespace {
@@ -79,75 +81,96 @@ void check_lanes_match_per_task(const ScenarioConfig& cfg,
   }
 }
 
-TEST(Lockstep, DefaultScenarioBitwiseEqual) {
-  check_lanes_match_per_task(base_cfg(), 0, 4);
+// Every bitwise case runs on both lane-stepped backends.
+class LockstepBitwise : public ::testing::TestWithParam<BackendKind> {
+ protected:
+  ScenarioConfig cfg() const {
+    ScenarioConfig c = base_cfg();
+    c.backend = GetParam();
+    return c;
+  }
+
+  static void check(const ScenarioConfig& c, std::uint64_t first,
+                    std::size_t lanes) {
+    ASSERT_TRUE(lockstep_eligible(c));
+    check_lanes_match_per_task(c, first, lanes);
+  }
+};
+
+TEST_P(LockstepBitwise, DefaultScenario) { check(cfg(), 0, 4); }
+
+TEST_P(LockstepBitwise, NonzeroFirstRunIndex) { check(cfg(), 7, 3); }
+
+TEST_P(LockstepBitwise, HighLoadThreeClasses) {
+  ScenarioConfig c = cfg();
+  c.delta = {1.0, 2.0, 8.0};
+  c.load = 0.9;
+  check(c, 0, 3);
 }
 
-TEST(Lockstep, NonzeroFirstRunIndex) {
-  check_lanes_match_per_task(base_cfg(), 7, 3);
+TEST_P(LockstepBitwise, AdaptiveAllocatorAndFinishAtOldRate) {
+  ScenarioConfig c = cfg();
+  c.allocator = AllocatorKind::kAdaptivePsd;
+  c.rate_change = RateChangePolicy::kFinishAtOldRate;
+  check(c, 0, 3);
 }
 
-TEST(Lockstep, HighLoadThreeClasses) {
-  ScenarioConfig cfg = base_cfg();
-  cfg.delta = {1.0, 2.0, 8.0};
-  cfg.load = 0.9;
-  check_lanes_match_per_task(cfg, 0, 3);
+TEST_P(LockstepBitwise, EqualShareAndNoAllocator) {
+  ScenarioConfig c = cfg();
+  c.allocator = AllocatorKind::kEqualShare;
+  check(c, 0, 2);
+  c.allocator = AllocatorKind::kNone;  // realloc loop disabled entirely
+  check(c, 0, 2);
 }
 
-TEST(Lockstep, AdaptiveAllocatorAndFinishAtOldRate) {
-  ScenarioConfig cfg = base_cfg();
-  cfg.allocator = AllocatorKind::kAdaptivePsd;
-  cfg.rate_change = RateChangePolicy::kFinishAtOldRate;
-  check_lanes_match_per_task(cfg, 0, 3);
+TEST_P(LockstepBitwise, BurstyArrivalsAndLognormalSizes) {
+  ScenarioConfig c = cfg();
+  c.arrivals = ArrivalKind::kBursty;
+  c.burstiness = 4.0;
+  c.size_dist = DistSpec::lognormal(1.0, 2.0);
+  check(c, 0, 3);
 }
 
-TEST(Lockstep, EqualShareAndNoAllocator) {
-  ScenarioConfig cfg = base_cfg();
-  cfg.allocator = AllocatorKind::kEqualShare;
-  check_lanes_match_per_task(cfg, 0, 2);
-  cfg.allocator = AllocatorKind::kNone;  // realloc loop disabled entirely
-  check_lanes_match_per_task(cfg, 0, 2);
+TEST_P(LockstepBitwise, NonstationaryProfileWithSettleMetric) {
+  ScenarioConfig c = cfg();
+  c.load = 0.4;
+  c.profile = LoadProfile::spike(1200.0, 600.0, 2.0);
+  check(c, 0, 3);
 }
 
-TEST(Lockstep, BurstyArrivalsAndLognormalSizes) {
-  ScenarioConfig cfg = base_cfg();
-  cfg.arrivals = ArrivalKind::kBursty;
-  cfg.burstiness = 4.0;
-  cfg.size_dist = DistSpec::lognormal(1.0, 2.0);
-  check_lanes_match_per_task(cfg, 0, 3);
+TEST_P(LockstepBitwise, RequestRecordingWindow) {
+  ScenarioConfig c = cfg();
+  c.record_requests = true;
+  c.record_from_tu = 1000.0;
+  c.record_to_tu = 1400.0;
+  check(c, 0, 2);
 }
 
-TEST(Lockstep, NonstationaryProfileWithSettleMetric) {
-  ScenarioConfig cfg = base_cfg();
-  cfg.load = 0.4;
-  cfg.profile = LoadProfile::spike(1200.0, 600.0, 2.0);
-  check_lanes_match_per_task(cfg, 0, 3);
+// Deterministic arrivals (both classes every 8 tu) and unit sizes put
+// events on exactly equal times: SFQ completions land on 10 of the ticks
+// at k * 1001 tu, and the two classes always arrive together.  This runs
+// the tie paths under the equality check; it does not tell the tie orders
+// apart (swapping tick-vs-completion or heap-vs-arrival order gives the
+// same results here).
+TEST_P(LockstepBitwise, ExactTimeTies) {
+  ScenarioConfig c = cfg();
+  c.arrivals = ArrivalKind::kDeterministic;
+  c.size_dist = DistSpec::deterministic(1.0);
+  c.load = 0.25;
+  c.realloc_tu = 1001.0;
+  c.warmup_tu = 4000.0;
+  c.measure_tu = 36000.0;
+  check(c, 0, 2);
 }
 
-TEST(Lockstep, RequestRecordingWindow) {
-  ScenarioConfig cfg = base_cfg();
-  cfg.record_requests = true;
-  cfg.record_from_tu = 1000.0;
-  cfg.record_to_tu = 1400.0;
-  check_lanes_match_per_task(cfg, 0, 2);
-}
-
-TEST(Lockstep, IneligibleBackendFallsBackToPerTask) {
-  ScenarioConfig cfg = base_cfg();
-  cfg.backend = BackendKind::kSfq;
-  EXPECT_FALSE(lockstep_eligible(cfg));
-  check_lanes_match_per_task(cfg, 0, 2);
-}
-
-TEST(Lockstep, RaggedTailAggregatesIdentically) {
-  const ScenarioConfig cfg = base_cfg();
+TEST_P(LockstepBitwise, RaggedTailAggregatesIdentically) {
+  const ScenarioConfig c = cfg();
   const std::size_t runs = 10;  // K=4 -> groups of 4, 4, 2
   ReplicationPlan plan;
   plan.mode = ReplicationMode::kLockstep;
   plan.lanes = 4;
-  const auto lockstep =
-      run_replications(cfg, runs, /*parallel=*/false, plan);
-  const auto per_task = run_replications(cfg, runs, /*parallel=*/false);
+  const auto lockstep = run_replications(c, runs, /*parallel=*/false, plan);
+  const auto per_task = run_replications(c, runs, /*parallel=*/false);
   ASSERT_EQ(lockstep.runs, per_task.runs);
   ASSERT_EQ(lockstep.slowdown.size(), per_task.slowdown.size());
   for (std::size_t i = 0; i < lockstep.slowdown.size(); ++i) {
@@ -161,13 +184,39 @@ TEST(Lockstep, RaggedTailAggregatesIdentically) {
   EXPECT_EQ(lockstep.completed_total, per_task.completed_total);
 }
 
+INSTANTIATE_TEST_SUITE_P(
+    Backends, LockstepBitwise,
+    ::testing::Values(BackendKind::kDedicated, BackendKind::kSfq),
+    [](const ::testing::TestParamInfo<BackendKind>& info) {
+      return std::string(backend_name(info.param));
+    });
+
+TEST(Lockstep, EligibilityCoversUngatedSingleNodeSfq) {
+  ScenarioConfig cfg = base_cfg();
+  cfg.backend = BackendKind::kSfq;
+  EXPECT_TRUE(lockstep_eligible(cfg));
+  ScenarioConfig gated = cfg;
+  gated.admission = AdmissionSpec::parse("delta-aware:0.8");
+  EXPECT_FALSE(lockstep_eligible(gated));
+  ScenarioConfig cluster = cfg;
+  cluster.cluster_nodes = 2;
+  EXPECT_FALSE(lockstep_eligible(cluster));
+}
+
+TEST(Lockstep, IneligibleBackendFallsBackToPerTask) {
+  ScenarioConfig cfg = base_cfg();
+  cfg.backend = BackendKind::kLottery;
+  EXPECT_FALSE(lockstep_eligible(cfg));
+  check_lanes_match_per_task(cfg, 0, 2);
+}
+
 GridSpec small_grid() {
   GridSpec grid;
   grid.base.warmup_tu = 300.0;
   grid.base.measure_tu = 1500.0;
   grid.loads = {0.4, 0.8};
   grid.deltas = {{1.0, 2.0}};
-  // One lockstep-eligible and one fallback backend in the same campaign.
+  // Both lane-stepped backends in the same campaign.
   grid.backends = {BackendKind::kDedicated, BackendKind::kSfq};
   return grid;
 }

@@ -51,7 +51,8 @@ utilization, so total offered load scales with --nodes x --shards):
   --mean-service-us U     --period-ms MS    --allocator NAME
   --burst SEC             --seed N          --pin
   (see psdserved --help for each; --allocator selects the GLOBAL
-   allocator — node controllers run rate-less)
+   allocator — node controllers run rate-less.  --metrics-port, --slo,
+   --slo-dump and --trace-sample are psdserved-only: rejected here)
 
 checks & output:
   --check F               exit 1 unless the cluster-wide windowed-median
@@ -84,7 +85,14 @@ int main(int argc, char** argv) {
         return argv[++i];
       };
       if (arg == "--help" || arg == "-h") usage(0);
-      else if (cli::parse_rt_flag(arg, value, cfg.node)) {
+      else if (arg == "--metrics-port" || arg == "--slo" ||
+               arg == "--slo-dump" || arg == "--trace-sample") {
+        // Shared grammar, but the threaded cluster never starts a node's
+        // metrics listener, samples its SLO rules or sinks its spans.
+        throw cli::CliError(arg +
+                            " is not supported by psdcluster yet; use "
+                            "psdserved for metrics, SLO and span output");
+      } else if (cli::parse_rt_flag(arg, value, cfg.node)) {
         // Shared per-node runtime grammar (tools/rt_flags.hpp).
       }
       else if (arg == "--nodes")

@@ -135,13 +135,22 @@ void apply_option(Options& o, const std::string& key,
     }
   } else if (key == "policies") {
     o.grid.cluster_policies.clear();
+    std::string jsq_token;  // first jsq token of this list
     for (const auto& item : cli::split(value, ',')) {
       const AssignmentSpec as = cli::parse_assignment(opt, item);
       o.grid.cluster_policies.push_back(as.policy);
       // The grid axis carries the policy only; a jsq token's sample width
-      // lands on the base config (one d per campaign).
+      // lands on the base config (one d per campaign), so two widths
+      // cannot both run.
       if (as.policy == AssignmentPolicy::kJsq) {
-        o.grid.base.cluster_jsq_d = as.d;
+        if (jsq_token.empty()) {
+          jsq_token = item;
+          o.grid.base.cluster_jsq_d = as.d;
+        } else if (as.d != o.grid.base.cluster_jsq_d) {
+          cli::fail(opt + " names two jsq widths (" + jsq_token + " and " +
+                        item + "); a campaign runs one",
+                    value, "--policies rr,jsq2");
+        }
       }
     }
   } else if (key == "profiles") {

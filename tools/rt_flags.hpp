@@ -6,7 +6,9 @@
 // CLI keeps its own usage text and its own tool-specific flags (replay /
 // checks for psdserved, cluster topology / kill schedule for psdcluster)
 // and falls through to parse_rt_flag() for everything shared.  The flag
-// spellings here are psdserved's originals, unchanged.
+// spellings here are psdserved's originals, unchanged.  psdcluster rejects
+// the observability flags its threaded runtime does not honour before
+// falling through.
 #pragma once
 
 #include <functional>
