@@ -13,8 +13,7 @@
 #include "bench_util.hpp"
 #include "baselines/pdd_policies.hpp"
 #include "core/hetero_psd_allocator.hpp"
-#include "dist/bounded_pareto.hpp"
-#include "dist/deterministic.hpp"
+#include "dist/sampler.hpp"
 #include "experiment/figures.hpp"
 #include "sched/dedicated_rate.hpp"
 #include "server/server.hpp"
@@ -27,8 +26,8 @@ namespace {
 // because E[S_i] = E[W_i] * E[1/X_i] and the E[1/X_i] differ per class.
 void heterogeneous_comparison() {
   using namespace psd;
-  Deterministic d0(0.5);                 // E[1/X] = 2.0
-  BoundedPareto d1(1.5, 0.1, 100.0);     // E[1/X] = 6.0
+  const DeterministicSampler d0(0.5);             // E[1/X] = 2.0
+  const BoundedParetoSampler d1(1.5, 0.1, 100.0);  // E[1/X] = 6.0
   const std::vector<double> delta = {1.0, 2.0};
   // Equal work demand per class: lambda_i * E[X_i] = 0.35.
   const std::vector<double> lam = {0.35 / d0.mean(), 0.35 / d1.mean()};
@@ -54,8 +53,7 @@ void heterogeneous_comparison() {
     if (row.use_psd) {
       backend = std::make_unique<DedicatedRateBackend>();
       alloc = std::make_unique<HeteroPsdAllocator>(
-          delta, std::vector<SamplerVariant>{DeterministicSampler(d0.value()),
-                                             BoundedParetoSampler(d1)});
+          delta, std::vector<SamplerVariant>{d0, d1});
     } else {
       backend = make_wtp_backend(delta);
     }
@@ -64,12 +62,9 @@ void heterogeneous_comparison() {
 
     std::vector<std::unique_ptr<RequestGenerator>> gens;
     gens.push_back(std::make_unique<RequestGenerator>(
-        sim, Rng(31), 0, PoissonArrivals(lam[0]),
-        DeterministicSampler(d0.value()),
-        server));
+        sim, Rng(31), 0, PoissonArrivals(lam[0]), d0, server));
     gens.push_back(std::make_unique<RequestGenerator>(
-        sim, Rng(32), 1, PoissonArrivals(lam[1]), BoundedParetoSampler(d1),
-        server));
+        sim, Rng(32), 1, PoissonArrivals(lam[1]), d1, server));
     for (auto& g : gens) g->start(0.0);
     sim.run_until(40000.0);
     server.finalize();

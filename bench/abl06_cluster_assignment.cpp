@@ -26,7 +26,7 @@ int main() {
                 "4 nodes, deltas (1,2), 70% per-node load, BP(1.5,0.1,100)",
                 1);
 
-  BoundedPareto bp(1.5, 0.1, 100.0);
+  const BoundedParetoSampler bp(1.5, 0.1, 100.0);
   const std::vector<double> delta = {1.0, 2.0};
 
   ServerConfig sc;
@@ -69,8 +69,7 @@ int main() {
     std::vector<std::unique_ptr<RequestGenerator>> gens;
     for (ClassId c = 0; c < 2; ++c) {
       gens.push_back(std::make_unique<RequestGenerator>(
-          sim, Rng(40 + c), c, PoissonArrivals(lam[c]),
-          BoundedParetoSampler(bp), cluster));
+          sim, Rng(40 + c), c, PoissonArrivals(lam[c]), bp, cluster));
       gens.back()->start(0.0);
     }
     sim.run_until(30000.0);

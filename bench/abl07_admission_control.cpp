@@ -14,7 +14,7 @@
 #include "admission/admission.hpp"
 #include "bench_util.hpp"
 #include "core/psd_rate_allocator.hpp"
-#include "dist/bounded_pareto.hpp"
+#include "dist/sampler.hpp"
 #include "sched/dedicated_rate.hpp"
 #include "server/server.hpp"
 #include "workload/generator.hpp"
@@ -28,7 +28,7 @@ struct Outcome {
 
 Outcome run_with_gate(double offered_load, int gate_kind) {
   using namespace psd;
-  BoundedPareto bp(1.5, 0.1, 100.0);
+  const BoundedParetoSampler bp(1.5, 0.1, 100.0);
   Simulator sim;
 
   ServerConfig sc;
@@ -49,7 +49,7 @@ Outcome run_with_gate(double offered_load, int gate_kind) {
         std::make_unique<UtilizationGate>(2, bp.mean(), 1.0, 0.9));
   } else if (gate_kind == 2) {
     server.set_admission(std::make_unique<SlowdownBudgetGate>(
-        std::vector<double>{1.0, 2.0}, BoundedParetoSampler(bp), 1.0,
+        std::vector<double>{1.0, 2.0}, bp, 1.0,
         /*max unit slowdown*/ 30.0));
   }
   server.start(0.0);
@@ -58,8 +58,7 @@ Outcome run_with_gate(double offered_load, int gate_kind) {
   std::vector<std::unique_ptr<RequestGenerator>> gens;
   for (ClassId c = 0; c < 2; ++c) {
     gens.push_back(std::make_unique<RequestGenerator>(
-        sim, Rng(60 + c), c, PoissonArrivals(lam[c]),
-        BoundedParetoSampler(bp), server));
+        sim, Rng(60 + c), c, PoissonArrivals(lam[c]), bp, server));
     gens.back()->start(0.0);
   }
   sim.run_until(25000.0);

@@ -5,13 +5,13 @@
 
 #include "core/psd_allocation.hpp"
 #include "core/psd_rate_allocator.hpp"
-#include "dist/bounded_pareto.hpp"
+#include "dist/sampler.hpp"
 
 namespace {
 
 void BM_AllocatePsdRates(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  psd::BoundedPareto bp(1.5, 0.1, 100.0);
+  const psd::BoundedParetoSampler bp(1.5, 0.1, 100.0);
   psd::PsdInput in;
   in.mean_size = bp.mean();
   for (std::size_t i = 0; i < n; ++i) {
@@ -28,7 +28,7 @@ BENCHMARK(BM_AllocatePsdRates)->RangeMultiplier(4)->Range(2, 512);
 
 void BM_ExpectedSlowdowns(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  psd::BoundedPareto bp(1.5, 0.1, 100.0);
+  const psd::SamplerVariant bp = psd::BoundedParetoSampler(1.5, 0.1, 100.0);
   std::vector<double> lambda(n, 0.8 / bp.mean() / static_cast<double>(n));
   std::vector<double> delta;
   for (std::size_t i = 0; i < n; ++i) delta.push_back(static_cast<double>(i + 1));
@@ -40,7 +40,7 @@ void BM_ExpectedSlowdowns(benchmark::State& state) {
 BENCHMARK(BM_ExpectedSlowdowns)->RangeMultiplier(4)->Range(2, 512);
 
 void BM_RuntimeAllocatorRoundTrip(benchmark::State& state) {
-  psd::BoundedPareto bp(1.5, 0.1, 100.0);
+  const psd::BoundedParetoSampler bp(1.5, 0.1, 100.0);
   psd::PsdAllocatorConfig cfg;
   cfg.delta = {1.0, 2.0, 3.0};
   cfg.mean_size = bp.mean();

@@ -1,12 +1,9 @@
-// Microbenchmark M3, grown into the hot-path before/after suite: sampling
-// throughput of the distribution layer, legacy virtual dispatch vs the
-// sealed SamplerVariant, plus the batch API and a campaign-engine
+// Microbenchmark M3, grown into the hot-path suite: sampling throughput of
+// the distribution layer, per-draw and batched, plus a campaign-engine
 // points/sec record.  The request generators draw one arrival gap and one
 // size per request, so ns/sample here bounds every simulation bench.
 //
-// Three implementations per distribution:
-//   * legacy  — make_distribution(): virtual SizeDistribution::sample
-//               through a unique_ptr (the pre-variant hot path),
+// Two measurements per distribution:
 //   * variant — SamplerVariant::sample(): one std::visit, fast-path math
 //               (ziggurat exponentials, alias tables, cached BP exponents),
 //   * batched — SamplerVariant::sample_n(): one visit per 256 draws, the
@@ -17,16 +14,9 @@
 //
 //   ./micro_distributions [records.json]
 #include <cstdio>
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "common/rng.hpp"
-#include "dist/bounded_pareto.hpp"
-#include "dist/deterministic.hpp"
-#include "dist/empirical.hpp"
-#include "dist/factory.hpp"
-#include "dist/mixture.hpp"
 #include "dist/sampler.hpp"
 #include "dist/ziggurat.hpp"
 #include "json_bench.hpp"
@@ -43,22 +33,17 @@ constexpr int kRepeats = 5;
 constexpr std::size_t kBlock = 256;
 
 void bench_dist(const std::string& path, const std::string& bench,
-                const SizeDistribution& legacy, const SamplerVariant& fast) {
+                const SamplerVariant& sampler) {
   Rng rng(42);
-  const double legacy_ns = min_ns_per_op(
-      kIters / 5, kIters, kRepeats, [&] { return legacy.sample(rng); });
-  emit_record(path, "distributions", bench, "\"impl\":\"legacy\"", legacy_ns,
-              kIters);
-
   const double variant_ns = min_ns_per_op(
-      kIters / 5, kIters, kRepeats, [&] { return fast.sample(rng); });
+      kIters / 5, kIters, kRepeats, [&] { return sampler.sample(rng); });
   emit_record(path, "distributions", bench, "\"impl\":\"variant\"", variant_ns,
               kIters);
 
   double block[kBlock];
   const double batched_ns =
       min_ns_per_op(kIters / (5 * kBlock), kIters / kBlock, kRepeats, [&] {
-        fast.sample_n(rng, block, kBlock);
+        sampler.sample_n(rng, block, kBlock);
         return block[0];
       }) /
       static_cast<double>(kBlock);
@@ -66,15 +51,8 @@ void bench_dist(const std::string& path, const std::string& bench,
               "\"impl\":\"batched\",\"block\":" + std::to_string(kBlock),
               batched_ns, kIters);
 
-  std::printf("%-18s legacy %6.2f  variant %6.2f (%.2fx)  batched %6.2f "
-              "(%.2fx) ns/sample\n",
-              bench.c_str(), legacy_ns, variant_ns, legacy_ns / variant_ns,
-              batched_ns, legacy_ns / batched_ns);
-}
-
-void bench_spec(const std::string& path, const std::string& bench,
-                const DistSpec& spec) {
-  bench_dist(path, bench, *make_distribution(spec), make_sampler(spec));
+  std::printf("%-18s variant %6.2f  batched %6.2f ns/sample\n", bench.c_str(),
+              variant_ns, batched_ns);
 }
 
 void bench_rng_primitives(const std::string& path) {
@@ -128,35 +106,17 @@ int main(int argc, char** argv) {
   const std::string path =
       argc > 1 ? argv[1] : psd::bench::kHotPathRecordsPath;
 
-  bench_spec(path, "bounded_pareto15", DistSpec::bounded_pareto(1.5, 0.1, 100.0));
-  bench_spec(path, "bounded_pareto27", DistSpec::bounded_pareto(2.7, 0.1, 100.0));
-  bench_spec(path, "exponential", DistSpec::exponential(1.0));
-  bench_spec(path, "bounded_exp", DistSpec::bounded_exponential(1.0, 0.1, 10.0));
-  bench_spec(path, "lognormal", DistSpec::lognormal(1.0, 4.0));
-  bench_spec(path, "uniform", DistSpec::uniform(0.5, 2.0));
-  bench_spec(path, "deterministic", DistSpec::deterministic(1.0));
-
-  {
-    // Empirical: 1024-point value set, uniform weights (trace resampling).
-    std::vector<double> values;
-    values.reserve(1024);
-    Rng seed_rng(9);
-    for (int i = 0; i < 1024; ++i) values.push_back(0.1 + seed_rng.uniform01());
-    const Empirical legacy(values);
-    bench_dist(path, "empirical1024", legacy, EmpiricalSampler(values));
-  }
-  {
-    // Mixture: the storefront-style det + heavy-tail blend.
-    std::vector<Mixture::Component> legacy_comps;
-    legacy_comps.push_back({0.6, std::make_unique<Deterministic>(0.3)});
-    legacy_comps.push_back(
-        {0.4, std::make_unique<BoundedPareto>(1.5, 0.1, 50.0)});
-    const Mixture legacy(std::move(legacy_comps));
-    const SamplerVariant fast =
-        MixtureSampler({{0.6, DeterministicSampler(0.3)},
-                        {0.4, BoundedParetoSampler(1.5, 0.1, 50.0)}});
-    bench_dist(path, "mixture_det_bp", legacy, fast);
-  }
+  bench_dist(path, "bounded_pareto15", BoundedParetoSampler(1.5, 0.1, 100.0));
+  bench_dist(path, "bounded_pareto27", BoundedParetoSampler(2.7, 0.1, 100.0));
+  bench_dist(path, "exponential", ExponentialSampler(1.0));
+  bench_dist(path, "bounded_exp", BoundedExponentialSampler(1.0, 0.1, 10.0));
+  bench_dist(path, "lognormal", LognormalSampler::from_mean_scv(1.0, 4.0));
+  bench_dist(path, "uniform", UniformSampler(0.5, 2.0));
+  bench_dist(path, "deterministic", DeterministicSampler(1.0));
+  // Mixture: the storefront-style det + heavy-tail blend.
+  bench_dist(path, "mixture_det_bp",
+             MixtureSampler({{0.6, DeterministicSampler(0.3)},
+                             {0.4, BoundedParetoSampler(1.5, 0.1, 50.0)}}));
 
   bench_rng_primitives(path);
   bench_campaign(path);

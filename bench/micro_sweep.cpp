@@ -6,13 +6,13 @@
 //   * lockstep_grid_per_task / lockstep_grid_lockstep8 — the same dedicated-
 //     backend grid executed in both replication modes: one replication per
 //     task vs lane-groups of K=8 on the lockstep batch kernel, best of three
-//     alternating runs each.  Before emitting, every point record of the
-//     runs is compared byte-for-byte (the lockstep determinism contract); a
-//     mismatch fails the bench.
+//     alternating runs each, on one worker (12 lane-group tasks spread
+//     unevenly over more workers, which would blur the per-request
+//     comparison).  Before emitting, every point record of the runs is
+//     compared byte-for-byte (the lockstep determinism contract); a mismatch
+//     fails the bench.
 //   * lockstep_sfq_grid_per_task / lockstep_sfq_grid_lockstep8 — the same
-//     pair and check on the grid with the SFQ backend, on one worker (12
-//     lane-group tasks spread unevenly over more workers, which would blur
-//     the per-request comparison).
+//     pair and check on the grid with the SFQ backend, also on one worker.
 //
 //   ./micro_sweep [records.json]
 #include <chrono>
@@ -201,7 +201,7 @@ int main(int argc, char** argv) {
   // --- per-task vs lockstep(K=8), dedicated and SFQ grids ---
   if (!compare_modes(path, "lockstep_grid",
                      lockstep_grid(BackendKind::kDedicated), kRuns,
-                     /*threads=*/0) ||
+                     /*threads=*/1) ||
       !compare_modes(path, "lockstep_sfq_grid",
                      lockstep_grid(BackendKind::kSfq), kRuns,
                      /*threads=*/1)) {

@@ -13,7 +13,7 @@
 int main() {
   using namespace psd;
 
-  BoundedPareto dist(1.5, 0.1, 100.0);
+  const SamplerVariant dist = BoundedParetoSampler(1.5, 0.1, 100.0);
   const std::vector<double> delta = {1.0, 2.0, 4.0};
 
   // --- question 1: rates and slowdowns at current traffic -----------------
@@ -56,7 +56,7 @@ int main() {
   Table t3({"upper bound p", "E[X^2]", "E[1/X]", "E[S1]", "capacity for "
             "budget"});
   for (double p : {100.0, 1000.0, 10000.0}) {
-    BoundedPareto d(1.5, 0.1, p);
+    const SamplerVariant d = BoundedParetoSampler(1.5, 0.1, p);
     const auto lam = rates_for_load(0.75, 1.0, d.mean(), {0.2, 0.3, 0.5});
     const auto s = expected_psd_slowdowns(lam, delta, d);
     double clo = 0.76, chi = 80.0;

@@ -13,7 +13,8 @@ int main() {
   using namespace psd;
 
   // ---------------------------------------------------------------- analytic
-  BoundedPareto dist(1.5, 0.1, 100.0);  // paper defaults
+  // Paper defaults: BP(1.5, 0.1, 100).
+  const SamplerVariant dist = BoundedParetoSampler(1.5, 0.1, 100.0);
   const double load = 0.5;
   const auto lambdas = rates_for_equal_load(load, 1.0, dist.mean(), 2);
   const std::vector<double> delta = {1.0, 2.0};

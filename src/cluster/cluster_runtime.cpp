@@ -6,7 +6,6 @@
 #include <numeric>
 #include <thread>
 
-#include "baselines/static_allocators.hpp"
 #include "cluster/dispatcher.hpp"
 #include "core/psd_rate_allocator.hpp"
 #include "dist/sampler.hpp"
@@ -35,36 +34,6 @@ void ClusterRtConfig::validate() const {
   }
 }
 
-namespace {
-
-/// The rt controller's allocator switch, rebuilt against a given capacity —
-/// the global controller re-runs it every time the alive set changes.
-std::unique_ptr<RateAllocator> make_global_allocator(
-    const GlobalController::Config& cfg, double capacity) {
-  PsdAllocatorConfig pc;
-  pc.delta = cfg.delta;
-  pc.capacity = capacity;
-  pc.mean_size = cfg.mean_size;
-  pc.rho_max = cfg.rho_max;
-  pc.min_residual_share = cfg.min_residual_share;
-  switch (cfg.allocator) {
-    case AllocatorKind::kPsd:
-      return std::make_unique<PsdRateAllocator>(pc);
-    case AllocatorKind::kAdaptivePsd:
-      return std::make_unique<AdaptivePsdAllocator>(pc, cfg.adaptive);
-    case AllocatorKind::kEqualShare:
-      return std::make_unique<EqualShareAllocator>(cfg.delta.size(), capacity);
-    case AllocatorKind::kLoadProportional:
-      return std::make_unique<LoadProportionalAllocator>(
-          cfg.delta.size(), capacity, cfg.mean_size);
-    case AllocatorKind::kNone:
-      return nullptr;
-  }
-  PSD_UNREACHABLE("unknown allocator kind");
-}
-
-}  // namespace
-
 GlobalController::GlobalController(Config cfg,
                                    std::vector<RuntimeHandle*> nodes,
                                    const AssignmentRouter* router)
@@ -85,9 +54,14 @@ GlobalController::GlobalController(Config cfg,
 }
 
 void GlobalController::rebuild_allocator() {
-  const double capacity =
+  PsdAllocatorConfig pc;
+  pc.delta = cfg_.delta;
+  pc.capacity =
       cfg_.node_capacity * static_cast<double>(router_->alive_count());
-  allocator_ = make_global_allocator(cfg_, capacity);
+  pc.mean_size = cfg_.mean_size;
+  pc.rho_max = cfg_.rho_max;
+  pc.min_residual_share = cfg_.min_residual_share;
+  allocator_ = make_allocator(cfg_.allocator, pc, cfg_.adaptive);
 }
 
 void GlobalController::on_topology_change() {
@@ -182,8 +156,8 @@ ClusterRuntime::ClusterRuntime(ClusterRtConfig cfg, ClockVariant clock)
   Rng master(cfg_.node.seed);
   std::vector<double> cutoffs;
   if (cfg_.assignment.policy == AssignmentPolicy::kSizeInterval) {
-    const BoundedPareto bp(cfg_.node.size_dist.a, cfg_.node.size_dist.b,
-                           cfg_.node.size_dist.c);
+    const BoundedParetoSampler bp(cfg_.node.size_dist.a, cfg_.node.size_dist.b,
+                                  cfg_.node.size_dist.c);
     cutoffs = sita_equal_load_cutoffs(bp, cfg_.nodes);
   }
   router_.emplace(cfg_.assignment, cfg_.nodes, master.fork(8000),

@@ -26,14 +26,14 @@
 
 #include "cluster/assignment.hpp"
 #include "cluster/router.hpp"
-#include "dist/bounded_pareto.hpp"
+#include "dist/sampler.hpp"
 #include "server/server.hpp"
 
 namespace psd {
 
 /// SITA-E cutoffs: partition [k, p] into `nodes` intervals of equal expected
 /// work (equal contribution to E[X]).  Returns nodes-1 interior cutoffs.
-std::vector<double> sita_equal_load_cutoffs(const BoundedPareto& dist,
+std::vector<double> sita_equal_load_cutoffs(const BoundedParetoSampler& dist,
                                             std::size_t nodes);
 
 class Cluster final : public RequestSink {

@@ -7,31 +7,23 @@ namespace psd {
 HeteroPsdAllocator::HeteroPsdAllocator(std::vector<double> delta,
                                        std::vector<SamplerVariant> dists,
                                        double capacity, double rho_max,
-                                       double min_residual_share)
-    : delta_(std::move(delta)),
-      capacity_(capacity),
-      rho_max_(rho_max),
-      min_residual_share_(min_residual_share) {
-  PSD_REQUIRE(!delta_.empty(), "need at least one class");
-  PSD_REQUIRE(delta_.size() == dists.size(), "delta/dists size mismatch");
+                                       double min_residual_share) {
+  PSD_REQUIRE(!delta.empty(), "need at least one class");
+  PSD_REQUIRE(delta.size() == dists.size(), "delta/dists size mismatch");
   PSD_REQUIRE(capacity > 0.0, "capacity must be positive");
-  dists_.reserve(dists.size());
-  for (auto& d : dists) dists_.emplace_back(std::move(d));
+  in_.delta = std::move(delta);
+  in_.dist = std::move(dists);
+  in_.capacity = capacity;
+  in_.overload = OverloadPolicy::kClamp;
+  in_.rho_max = rho_max;
+  in_.min_residual_share = min_residual_share;
 }
 
 std::vector<double> HeteroPsdAllocator::allocate(
     const std::vector<double>& lambda_hat) {
-  PSD_REQUIRE(lambda_hat.size() == delta_.size(), "estimate size mismatch");
-  HeteroPsdInput in;
-  in.lambda = lambda_hat;
-  in.delta = delta_;
-  in.dist.reserve(dists_.size());
-  for (const auto& d : dists_) in.dist.push_back(&d);
-  in.capacity = capacity_;
-  in.overload = OverloadPolicy::kClamp;
-  in.rho_max = rho_max_;
-  in.min_residual_share = min_residual_share_;
-  return std::move(allocate_psd_rates_hetero(in).rate);
+  PSD_REQUIRE(lambda_hat.size() == in_.delta.size(), "estimate size mismatch");
+  in_.lambda = lambda_hat;
+  return std::move(allocate_psd_rates_hetero(in_).rate);
 }
 
 }  // namespace psd

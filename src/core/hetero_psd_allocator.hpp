@@ -4,14 +4,12 @@
 //
 // Samplers are held by value — construction copies a SamplerVariant per
 // class (cheap: parametric samplers are a few doubles; mixtures share their
-// component tables), replacing the per-distribution clone() into unique_ptr
-// the virtual hierarchy used to require.
+// component tables).
 #pragma once
 
 #include <vector>
 
 #include "core/psd_allocation.hpp"
-#include "dist/adapter.hpp"
 #include "server/allocator.hpp"
 
 namespace psd {
@@ -27,13 +25,9 @@ class HeteroPsdAllocator final : public RateAllocator {
   std::string name() const override { return "psd-hetero"; }
 
  private:
-  std::vector<double> delta_;
-  /// ABC views over the samplers for the eq.-17 closed form (value-held; the
-  /// moment API still speaks SizeDistribution*).
-  std::vector<VariantDistribution> dists_;
-  double capacity_;
-  double rho_max_;
-  double min_residual_share_;
+  /// Every field but `lambda` is fixed at construction; allocate() refreshes
+  /// `lambda` with each estimate.
+  HeteroPsdInput in_;
 };
 
 }  // namespace psd

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "common/error.hpp"
-#include "dist/adapter.hpp"
 #include "queueing/mg1.hpp"
 
 namespace psd {
@@ -86,14 +85,14 @@ PsdAllocation allocate_psd_rates(const PsdInput& in) {
   return out;
 }
 
-double theorem1_slowdown(double lambda, const SizeDistribution& dist,
+double theorem1_slowdown(double lambda, const SamplerVariant& dist,
                          double rate) {
   return Mg1(lambda, dist, rate).expected_slowdown();
 }
 
 std::vector<double> expected_psd_slowdowns(const std::vector<double>& lambda,
                                            const std::vector<double>& delta,
-                                           const SizeDistribution& dist,
+                                           const SamplerVariant& dist,
                                            double capacity) {
   PSD_REQUIRE(lambda.size() == delta.size(), "lambda/delta size mismatch");
   PSD_REQUIRE(!lambda.empty(), "need at least one class");
@@ -135,7 +134,6 @@ void validate_hetero(const HeteroPsdInput& in) {
   for (std::size_t i = 0; i < in.lambda.size(); ++i) {
     PSD_REQUIRE(in.lambda[i] >= 0.0, "lambda must be >= 0");
     PSD_REQUIRE(in.delta[i] > 0.0, "delta must be > 0");
-    PSD_REQUIRE(in.dist[i] != nullptr, "distribution required per class");
   }
 }
 
@@ -148,8 +146,8 @@ PsdAllocation allocate_psd_rates_hetero(const HeteroPsdInput& in) {
   std::vector<double> lambda = in.lambda;
   std::vector<double> mean(n), a(n);
   for (std::size_t i = 0; i < n; ++i) {
-    mean[i] = in.dist[i]->mean();
-    a[i] = in.dist[i]->second_moment() * in.dist[i]->mean_inverse() / 2.0;
+    mean[i] = in.dist[i].mean();
+    a[i] = in.dist[i].second_moment() * in.dist[i].mean_inverse() / 2.0;
   }
 
   double demand = 0.0;
@@ -196,7 +194,7 @@ PsdAllocation allocate_psd_rates_hetero(const HeteroPsdInput& in) {
 
 std::vector<double> expected_psd_slowdowns_hetero(
     const std::vector<double>& lambda, const std::vector<double>& delta,
-    const std::vector<const SizeDistribution*>& dist, double capacity) {
+    const std::vector<SamplerVariant>& dist, double capacity) {
   HeteroPsdInput in;
   in.lambda = lambda;
   in.delta = delta;
@@ -205,8 +203,8 @@ std::vector<double> expected_psd_slowdowns_hetero(
   validate_hetero(in);
   double demand = 0.0, num = 0.0;
   for (std::size_t i = 0; i < lambda.size(); ++i) {
-    demand += lambda[i] * dist[i]->mean();
-    num += dist[i]->second_moment() * dist[i]->mean_inverse() / 2.0 *
+    demand += lambda[i] * dist[i].mean();
+    num += dist[i].second_moment() * dist[i].mean_inverse() / 2.0 *
            lambda[i] / delta[i];
   }
   if (demand >= capacity) {
@@ -220,7 +218,7 @@ std::vector<double> expected_psd_slowdowns_hetero(
 
 double expected_system_slowdown(const std::vector<double>& lambda,
                                 const std::vector<double>& delta,
-                                const SizeDistribution& dist,
+                                const SamplerVariant& dist,
                                 double capacity) {
   const auto sd = expected_psd_slowdowns(lambda, delta, dist, capacity);
   double num = 0.0, den = 0.0;
@@ -230,33 +228,6 @@ double expected_system_slowdown(const std::vector<double>& lambda,
   }
   PSD_REQUIRE(den > 0.0, "at least one class must have load");
   return num / den;
-}
-
-std::vector<double> expected_psd_slowdowns(const std::vector<double>& lambda,
-                                           const std::vector<double>& delta,
-                                           const SamplerVariant& dist,
-                                           double capacity) {
-  return expected_psd_slowdowns(lambda, delta, VariantDistribution(dist),
-                                capacity);
-}
-
-double expected_system_slowdown(const std::vector<double>& lambda,
-                                const std::vector<double>& delta,
-                                const SamplerVariant& dist, double capacity) {
-  return expected_system_slowdown(lambda, delta, VariantDistribution(dist),
-                                  capacity);
-}
-
-std::vector<double> expected_psd_slowdowns_hetero(
-    const std::vector<double>& lambda, const std::vector<double>& delta,
-    const std::vector<SamplerVariant>& dist, double capacity) {
-  std::vector<VariantDistribution> views;
-  views.reserve(dist.size());
-  for (const auto& d : dist) views.emplace_back(d);
-  std::vector<const SizeDistribution*> ptrs;
-  ptrs.reserve(views.size());
-  for (const auto& v : views) ptrs.push_back(&v);
-  return expected_psd_slowdowns_hetero(lambda, delta, ptrs, capacity);
 }
 
 }  // namespace psd

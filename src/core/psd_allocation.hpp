@@ -23,11 +23,9 @@
 
 #include <vector>
 
-#include "dist/distribution.hpp"
+#include "dist/sampler.hpp"
 
 namespace psd {
-
-class SamplerVariant;
 
 /// What to do when the offered load is infeasible (rho >= 1).
 enum class OverloadPolicy {
@@ -62,18 +60,18 @@ PsdAllocation allocate_psd_rates(const PsdInput& in);
 /// eq. 18: expected slowdown per class under the eq.-17 allocation.
 std::vector<double> expected_psd_slowdowns(const std::vector<double>& lambda,
                                            const std::vector<double>& delta,
-                                           const SizeDistribution& dist,
+                                           const SamplerVariant& dist,
                                            double capacity = 1.0);
 
 /// Theorem 1: expected slowdown of one class on a task server of rate `rate`.
 /// (Exposed so tests can check eq. 18 == Theorem 1 ∘ eq. 17.)
-double theorem1_slowdown(double lambda, const SizeDistribution& dist,
+double theorem1_slowdown(double lambda, const SamplerVariant& dist,
                          double rate);
 
 /// Expected *system* slowdown: lambda-weighted mean of eq.-18 values.
 double expected_system_slowdown(const std::vector<double>& lambda,
                                 const std::vector<double>& delta,
-                                const SizeDistribution& dist,
+                                const SamplerVariant& dist,
                                 double capacity = 1.0);
 
 /// Validity helper: true iff sum lambda_i E[X] < capacity.
@@ -97,8 +95,8 @@ bool psd_feasible(const std::vector<double>& lambda, double mean_size,
 struct HeteroPsdInput {
   std::vector<double> lambda;
   std::vector<double> delta;
-  /// Per-class service-time distributions (not owned; size == lambda.size()).
-  std::vector<const SizeDistribution*> dist;
+  /// Per-class service-time distributions (size == lambda.size()).
+  std::vector<SamplerVariant> dist;
   double capacity = 1.0;
   OverloadPolicy overload = OverloadPolicy::kThrow;
   double rho_max = 0.98;
@@ -109,22 +107,6 @@ PsdAllocation allocate_psd_rates_hetero(const HeteroPsdInput& in);
 
 /// Expected per-class slowdowns under the heterogeneous allocation
 /// (each equals delta_i * s).
-std::vector<double> expected_psd_slowdowns_hetero(
-    const std::vector<double>& lambda, const std::vector<double>& delta,
-    const std::vector<const SizeDistribution*>& dist, double capacity = 1.0);
-
-// Sealed-sampler conveniences: the same closed forms fed from SamplerVariant
-// values (the hot-path representation) via dist/adapter.hpp bridges.
-std::vector<double> expected_psd_slowdowns(const std::vector<double>& lambda,
-                                           const std::vector<double>& delta,
-                                           const SamplerVariant& dist,
-                                           double capacity = 1.0);
-
-double expected_system_slowdown(const std::vector<double>& lambda,
-                                const std::vector<double>& delta,
-                                const SamplerVariant& dist,
-                                double capacity = 1.0);
-
 std::vector<double> expected_psd_slowdowns_hetero(
     const std::vector<double>& lambda, const std::vector<double>& delta,
     const std::vector<SamplerVariant>& dist, double capacity = 1.0);

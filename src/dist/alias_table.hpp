@@ -1,7 +1,6 @@
 // Walker/Vose alias method: O(n) setup, O(1) weighted index sampling with a
-// single uniform draw.  Backs EmpiricalSampler (weighted resampling) and
-// MixtureSampler component selection (replacing the O(log n) cumulative-weight
-// binary search).
+// single uniform draw.  Backs MixtureSampler component selection (in place of
+// an O(log n) cumulative-weight binary search).
 #pragma once
 
 #include <cstdint>

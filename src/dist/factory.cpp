@@ -5,12 +5,7 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "dist/bounded_exponential.hpp"
-#include "dist/bounded_pareto.hpp"
-#include "dist/deterministic.hpp"
-#include "dist/exponential.hpp"
-#include "dist/lognormal.hpp"
-#include "dist/uniform.hpp"
+#include "dist/sampler.hpp"
 
 namespace psd {
 
@@ -119,25 +114,8 @@ DistSpec DistSpec::parse(const std::string& spec) {
   match("uniform", Kind::kUniform);
   PSD_REQUIRE(known, "unknown distribution '" + spec + "' (expected " +
                          kDistGrammar + ")");
+  make_sampler(out);  // the sampler constructor checks the law's domain
   return out;
-}
-
-std::unique_ptr<SizeDistribution> make_distribution(const DistSpec& spec) {
-  switch (spec.kind) {
-    case DistSpec::Kind::kBoundedPareto:
-      return std::make_unique<BoundedPareto>(spec.a, spec.b, spec.c);
-    case DistSpec::Kind::kDeterministic:
-      return std::make_unique<Deterministic>(spec.a);
-    case DistSpec::Kind::kExponential:
-      return std::make_unique<Exponential>(spec.a);
-    case DistSpec::Kind::kBoundedExponential:
-      return std::make_unique<BoundedExponential>(spec.a, spec.b, spec.c);
-    case DistSpec::Kind::kLognormal:
-      return std::make_unique<Lognormal>(Lognormal::from_mean_scv(spec.a, spec.b));
-    case DistSpec::Kind::kUniform:
-      return std::make_unique<UniformSize>(spec.a, spec.b);
-  }
-  PSD_UNREACHABLE("unknown distribution kind");
 }
 
 }  // namespace psd

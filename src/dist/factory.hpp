@@ -2,14 +2,12 @@
 //
 // Configs (ScenarioConfig, SessionState, ClassSpec) need a copyable,
 // comparable description of a service-time law that can cross thread and
-// serialization boundaries; the polymorphic SizeDistribution is built from it
-// on demand with make_distribution().
+// serialization boundaries; the sampler is built from it on demand with
+// make_sampler() (dist/sampler.hpp).
 #pragma once
 
-#include <memory>
+#include <cstddef>
 #include <string>
-
-#include "dist/distribution.hpp"
 
 namespace psd {
 
@@ -56,8 +54,9 @@ struct DistSpec {
   std::string name() const;
 
   /// Inverse of name().  Accepted grammar: bp:alpha,k,p | det:c | exp:m |
-  /// bexp:m,lo,hi | lognormal:m,scv | uniform:a,b.  Throws psd::Error on
-  /// malformed input.
+  /// bexp:m,lo,hi | lognormal:m,scv | uniform:a,b.  Throws
+  /// std::invalid_argument on malformed input, including parameters outside
+  /// the law's domain (the sampler constructor's checks).
   static DistSpec parse(const std::string& spec);
 
   friend bool operator==(const DistSpec& x, const DistSpec& y) {
@@ -67,8 +66,5 @@ struct DistSpec {
     return !(x == y);
   }
 };
-
-/// Instantiate the distribution a spec describes.
-std::unique_ptr<SizeDistribution> make_distribution(const DistSpec& spec);
 
 }  // namespace psd

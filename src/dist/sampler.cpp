@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
-#include "dist/bounded_exponential.hpp"
-#include "dist/bounded_pareto.hpp"
+#include "common/math.hpp"
 
 namespace psd {
 
@@ -58,22 +57,28 @@ std::string UniformSampler::name() const {
 
 BoundedParetoSampler::BoundedParetoSampler(double alpha, double k, double p)
     : alpha_(alpha), k_(k), p_(p) {
-  // Validation and moments come from the legacy class; only the cached
-  // sampling parameters are new.
-  const BoundedPareto bp(alpha, k, p);
+  PSD_REQUIRE(alpha > 0.0, "alpha must be positive");
+  PSD_REQUIRE(k > 0.0, "lower bound k must be positive");
+  PSD_REQUIRE(k < p, "need k < p");
   one_minus_kp_ = 1.0 - std::pow(k_ / p_, alpha_);
   neg_inv_alpha_ = -1.0 / alpha_;
-  mean_ = bp.mean();
-  m2_ = bp.second_moment();
-  mean_inv_ = bp.mean_inverse();
+  mean_ = moment(1.0);
+  m2_ = moment(2.0);
+  mean_inv_ = moment(-1.0);
   pow_ = alpha == 1.0   ? Pow::kInv
          : alpha == 2.0 ? Pow::kInvSqrt
          : alpha == 1.5 ? Pow::kInvCbrtSq
                         : Pow::kGeneral;
 }
 
-BoundedParetoSampler::BoundedParetoSampler(const BoundedPareto& bp)
-    : BoundedParetoSampler(bp.alpha(), bp.lower(), bp.upper()) {}
+double BoundedParetoSampler::moment(double n) const {
+  // E[X^n] = g \int_k^p x^{n-alpha-1} dx; the antiderivative switches to a
+  // logarithm when the exponent n-alpha-1 hits -1.
+  const double g = normalizer();
+  const double d = n - alpha_;
+  if (std::abs(d) < 1e-12) return g * std::log(p_ / k_);
+  return g * (std::pow(p_, d) - std::pow(k_, d)) / d;
+}
 
 BoundedParetoSampler BoundedParetoSampler::scaled_by_rate(double rate) const {
   PSD_REQUIRE(rate > 0.0, "rate must be positive");
@@ -90,13 +95,22 @@ std::string BoundedParetoSampler::name() const {
 BoundedExponentialSampler::BoundedExponentialSampler(double mean, double lo,
                                                      double hi)
     : m_(mean), lo_(lo), hi_(hi) {
-  const BoundedExponential be(mean, lo, hi);  // validates + quadrature
+  PSD_REQUIRE(mean > 0.0, "mean must be positive");
+  PSD_REQUIRE(lo > 0.0, "lower bound must be positive");
+  PSD_REQUIRE(lo < hi, "need lo < hi");
   elo_ = std::exp(-lo_ / m_);
-  z_ = elo_ - std::exp(-hi_ / m_);
+  const double ehi = std::exp(-hi_ / m_);
+  z_ = elo_ - ehi;
   neg_m_ = -m_;
-  mean_ = be.mean();
-  m2_ = be.second_moment();
-  mean_inv_ = be.mean_inverse();
+  // Antiderivatives of x (1/m) e^{-x/m} and x^2 (1/m) e^{-x/m}:
+  //   -(x + m) e^{-x/m}   and   -(x^2 + 2 m x + 2 m^2) e^{-x/m}.
+  mean_ = ((lo_ + m_) * elo_ - (hi_ + m_) * ehi) / z_;
+  m2_ = ((lo_ * lo_ + 2.0 * m_ * lo_ + 2.0 * m_ * m_) * elo_ -
+         (hi_ * hi_ + 2.0 * m_ * hi_ + 2.0 * m_ * m_) * ehi) /
+        z_;
+  mean_inv_ = integrate(
+      [this](double x) { return std::exp(-x / m_) / (m_ * z_) / x; }, lo_,
+      hi_, 1e-12);
 }
 
 BoundedExponentialSampler BoundedExponentialSampler::scaled_by_rate(
@@ -108,25 +122,6 @@ BoundedExponentialSampler BoundedExponentialSampler::scaled_by_rate(
 std::string BoundedExponentialSampler::name() const {
   return render("bexp", {m_, lo_, hi_});
 }
-
-// ---- ParetoSampler ---------------------------------------------------------
-
-ParetoSampler::ParetoSampler(double alpha, double k) : alpha_(alpha), k_(k) {
-  PSD_REQUIRE(alpha > 0.0, "alpha must be positive");
-  PSD_REQUIRE(k > 0.0, "lower bound k must be positive");
-  neg_inv_alpha_ = -1.0 / alpha_;
-  pow_ = alpha == 1.0   ? Pow::kInv
-         : alpha == 2.0 ? Pow::kInvSqrt
-         : alpha == 1.5 ? Pow::kInvCbrtSq
-                        : Pow::kGeneral;
-}
-
-ParetoSampler ParetoSampler::scaled_by_rate(double rate) const {
-  PSD_REQUIRE(rate > 0.0, "rate must be positive");
-  return ParetoSampler(alpha_, k_ / rate);
-}
-
-std::string ParetoSampler::name() const { return render("pareto", {alpha_, k_}); }
 
 // ---- LognormalSampler ------------------------------------------------------
 
@@ -145,64 +140,6 @@ LognormalSampler LognormalSampler::scaled_by_rate(double rate) const {
 std::string LognormalSampler::name() const {
   std::ostringstream os;
   os << "lognormal(mu=" << mu_ << ",sigma=" << sigma_ << ')';
-  return os.str();
-}
-
-// ---- EmpiricalSampler ------------------------------------------------------
-
-EmpiricalSampler::Data::Data(std::vector<double> v, std::vector<double> w)
-    : values(std::move(v)),
-      weights(std::move(w)),
-      alias(weights.empty() ? std::vector<double>(values.size(), 1.0)
-                            : weights) {
-  double total = 0.0;
-  if (!weights.empty()) {
-    for (double x : weights) total += x;
-  } else {
-    total = static_cast<double>(values.size());
-  }
-  double s = 0.0, s2 = 0.0, sinv = 0.0;
-  min = kInf;
-  max = 0.0;
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    const double x = values[i];
-    PSD_REQUIRE(x > 0.0, "empirical values must be positive");
-    const double wi = weights.empty() ? 1.0 : weights[i];
-    s += wi * x;
-    s2 += wi * x * x;
-    sinv += wi / x;
-    if (wi > 0.0) {
-      min = std::min(min, x);
-      max = std::max(max, x);
-    }
-  }
-  mean = s / total;
-  m2 = s2 / total;
-  mean_inv = sinv / total;
-}
-
-EmpiricalSampler::EmpiricalSampler(std::vector<double> values,
-                                   std::vector<double> weights) {
-  // Validate before Data's member-init list runs, so bad input fails with
-  // an empirical-specific message rather than the alias table's.
-  PSD_REQUIRE(!values.empty(), "empirical distribution needs values");
-  PSD_REQUIRE(weights.empty() || weights.size() == values.size(),
-              "weights/values size mismatch");
-  data_ = std::make_shared<const Data>(std::move(values), std::move(weights));
-}
-
-EmpiricalSampler EmpiricalSampler::scaled_by_rate(double rate) const {
-  PSD_REQUIRE(rate > 0.0, "rate must be positive");
-  std::vector<double> scaled;
-  scaled.reserve(data_->values.size());
-  for (double v : data_->values) scaled.push_back(v / rate);
-  return EmpiricalSampler(
-      std::make_shared<const Data>(std::move(scaled), data_->weights));
-}
-
-std::string EmpiricalSampler::name() const {
-  std::ostringstream os;
-  os << "empirical(n=" << data_->values.size() << ')';
   return os.str();
 }
 
@@ -270,8 +207,6 @@ std::string MixtureSampler::name() const {
   os << "mixture(" << data_->comps.size() << " components)";
   return os.str();
 }
-
-std::size_t MixtureSampler::components() const { return data_->comps.size(); }
 
 // ---- factory ---------------------------------------------------------------
 

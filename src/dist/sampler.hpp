@@ -1,25 +1,29 @@
-// Sealed, value-semantic service-time samplers.
+// Service-time ("request size") laws as sealed, value-semantic samplers.
 //
-// The open SizeDistribution hierarchy (dist/distribution.hpp) pays a virtual
-// call per draw and a heap clone per copy — measurable at millions of samples
-// per campaign.  This header closes the set: each law is a plain value type
-// with an *inline* sample(), and SamplerVariant is the std::variant over all
-// of them.  One std::visit dispatch replaces the vtable, copies are memcpy
-// (Empirical/Mixture share immutable tables via shared_ptr, so even they copy
-// without allocating), and scaled_by_rate (paper Lemma 2) is a value
-// transform instead of a unique_ptr clone.
+// The paper's analysis (Lemma 1, Theorem 1, eqs. 17-18) needs exactly three
+// scalars from the service-time law: E[X], E[X^2] and E[1/X].  The last one
+// is the slowdown-specific moment: it exists for every law bounded away from
+// zero but diverges for, e.g., the unbounded exponential, which is the
+// paper's argument for the Bounded Pareto model.  Each sampler carries those
+// closed forms next to its draw, and mean_inverse() reports divergence by
+// throwing std::domain_error.
 //
-// Fast paths beyond devirtualization:
+// Each law is a plain value type with an *inline* sample(), and
+// SamplerVariant is the std::variant over all of them: one std::visit
+// dispatch per draw, copies are memcpy (Mixture shares its immutable
+// component table via shared_ptr, so even it copies without allocating), and
+// scaled_by_rate (paper Lemma 2) is a value transform.
+//
+// Fast paths:
 //   * Exponential draws via the 256-layer ziggurat (dist/ziggurat.hpp),
-//   * Empirical and Mixture pick via a Walker alias table (O(1), one draw),
+//   * Mixture picks its component via a Walker alias table (O(1), one draw),
 //   * BoundedPareto caches 1 - (k/p)^alpha and -1/alpha, and lowers the
 //     pow() to a reciprocal / rsqrt / rcbrt for the common alpha 1, 2, 1.5.
 //
-// The legacy ABC remains the moment-analysis interface (M/G/1 formulas,
-// eq. 17/18); dist/adapter.hpp bridges a SamplerVariant into it.  To add a
-// new distribution: write a sampler struct with the methods below, append it
-// to SamplerVariant::Alternatives, and extend make_sampler — the compiler
-// then enforces exhaustiveness everywhere a visit switches on the set.
+// To add a new distribution: write a sampler struct with the methods below,
+// append it to SamplerVariant::Alternatives, and extend make_sampler — the
+// compiler then enforces exhaustiveness everywhere a visit switches on the
+// set.
 #pragma once
 
 #include <cmath>
@@ -122,16 +126,19 @@ class UniformSampler {
   double lo_, span_, hi_;
 };
 
-class BoundedPareto;
-
-/// Bounded Pareto BP(alpha, k, p): cached-parameter inverse transform.
+/// Bounded Pareto BP(alpha, k, p) — the paper's service-time model (§4.1):
+/// heavy-tailed like real web object sizes, yet with finite E[X^2] and
+/// E[1/X] because the support is the bounded interval [k, p].
+///
+///   pdf(x) = g x^{-alpha-1} on [k, p],  g = alpha k^alpha / (1 - (k/p)^alpha)
+///   E[X^n] = g (p^{n-alpha} - k^{n-alpha}) / (n - alpha)   (n != alpha)
+///          = g ln(p/k)                                     (n == alpha)
+///
+/// Draws by a cached-parameter inverse transform.
 class BoundedParetoSampler {
  public:
+  /// alpha > 0, 0 < k < p.
   BoundedParetoSampler(double alpha, double k, double p);
-  /// Same law as an existing analysis-side BoundedPareto — call sites that
-  /// keep one named distribution for moments can derive the sampler from it
-  /// instead of re-typing the parameters.
-  explicit BoundedParetoSampler(const BoundedPareto& bp);
 
   double sample(Rng& rng) const {
     // Invert u = (1 - (k/x)^a) / (1 - (k/p)^a): x = k t^{-1/alpha} with
@@ -160,7 +167,13 @@ class BoundedParetoSampler {
   BoundedParetoSampler scaled_by_rate(double rate) const;
   std::string name() const;
 
+  /// E[X^n] for any real n (closed form; log form at n == alpha).
+  double moment(double n) const;
   double alpha() const { return alpha_; }
+  /// The pdf prefactor g (pdf(x) = g x^{-alpha-1}).
+  double normalizer() const {
+    return alpha_ * std::pow(k_, alpha_) / one_minus_kp_;
+  }
 
  private:
   enum class Pow : std::uint8_t { kGeneral, kInv, kInvSqrt, kInvCbrtSq };
@@ -170,9 +183,17 @@ class BoundedParetoSampler {
   Pow pow_;
 };
 
-/// Exponential of mean m truncated to [lo, hi]: cached inverse transform.
+/// Exponential of mean m truncated to [lo, hi], lo > 0: the minimal fix that
+/// makes E[1/X] finite for an exponential-shaped law.
+///
+///   pdf(x) = (1/m) e^{-x/m} / Z on [lo, hi],  Z = e^{-lo/m} - e^{-hi/m}.
+///
+/// E[X] and E[X^2] are elementary; E[1/X] is an exponential integral,
+/// evaluated once by adaptive quadrature at construction.  Draws by a cached
+/// inverse transform.
 class BoundedExponentialSampler {
  public:
+  /// `mean` is the mean of the *untruncated* exponential.
   BoundedExponentialSampler(double mean, double lo, double hi);
 
   double sample(Rng& rng) const {
@@ -193,46 +214,8 @@ class BoundedExponentialSampler {
   double mean_, m2_, mean_inv_;
 };
 
-/// Unbounded Pareto(alpha, k).
-class ParetoSampler {
- public:
-  ParetoSampler(double alpha, double k);
-
-  double sample(Rng& rng) const {
-    const double t = rng.uniform01_open_low();
-    switch (pow_) {
-      case Pow::kInv:
-        return k_ / t;
-      case Pow::kInvSqrt:
-        return k_ / std::sqrt(t);
-      case Pow::kInvCbrtSq: {
-        const double y = detail::rcbrt(t);
-        return k_ * y * y;
-      }
-      case Pow::kGeneral:
-        break;
-    }
-    return k_ * std::pow(t, neg_inv_alpha_);
-  }
-  double mean() const {
-    return alpha_ > 1.0 ? alpha_ * k_ / (alpha_ - 1.0) : kInf;
-  }
-  double second_moment() const {
-    return alpha_ > 2.0 ? alpha_ * k_ * k_ / (alpha_ - 2.0) : kInf;
-  }
-  double mean_inverse() const { return alpha_ / ((alpha_ + 1.0) * k_); }
-  double min_value() const { return k_; }
-  double max_value() const { return kInf; }
-  ParetoSampler scaled_by_rate(double rate) const;
-  std::string name() const;
-
- private:
-  enum class Pow : std::uint8_t { kGeneral, kInv, kInvSqrt, kInvCbrtSq };
-  double alpha_, k_, neg_inv_alpha_;
-  Pow pow_;
-};
-
-/// Lognormal(mu, sigma) via Box-Muller (same stream as the legacy class).
+/// Lognormal(mu, sigma), ln X ~ N(mu, sigma^2), via Box-Muller.  Every
+/// moment is closed-form: E[X^n] = exp(n mu + n^2 sigma^2 / 2).
 class LognormalSampler {
  public:
   LognormalSampler(double mu, double sigma) : mu_(mu), sigma_(sigma) {
@@ -260,41 +243,6 @@ class LognormalSampler {
   double mu_, sigma_;
 };
 
-/// Weighted resampling from a fixed value set via an alias table.  Uniform
-/// weights (the legacy Empirical behaviour) are the default.  Copies share
-/// the immutable table — no allocation per copy.
-class EmpiricalSampler {
- public:
-  explicit EmpiricalSampler(std::vector<double> values,
-                            std::vector<double> weights = {});
-
-  double sample(Rng& rng) const {
-    const Data& d = *data_;
-    return d.values[d.alias.pick(rng)];
-  }
-  double mean() const { return data_->mean; }
-  double second_moment() const { return data_->m2; }
-  double mean_inverse() const { return data_->mean_inv; }
-  double min_value() const { return data_->min; }
-  double max_value() const { return data_->max; }
-  EmpiricalSampler scaled_by_rate(double rate) const;
-  std::string name() const;
-
-  const std::vector<double>& values() const { return data_->values; }
-
- private:
-  struct Data {
-    std::vector<double> values;
-    std::vector<double> weights;  ///< Normalized; empty == uniform.
-    AliasTable alias;
-    double mean, m2, mean_inv, min, max;
-    Data(std::vector<double> v, std::vector<double> w);
-  };
-  explicit EmpiricalSampler(std::shared_ptr<const Data> data)
-      : data_(std::move(data)) {}
-  std::shared_ptr<const Data> data_;
-};
-
 /// Finite mixture of samplers; component picked by alias table.  Copies share
 /// the immutable component set.
 class MixtureSampler {
@@ -318,8 +266,6 @@ class MixtureSampler {
   MixtureSampler scaled_by_rate(double rate) const;
   std::string name() const;
 
-  std::size_t components() const;
-
  private:
   struct Data;
   explicit MixtureSampler(std::shared_ptr<const Data> data)
@@ -334,8 +280,7 @@ class SamplerVariant {
   using Alternatives =
       std::variant<BoundedParetoSampler, DeterministicSampler,
                    ExponentialSampler, BoundedExponentialSampler,
-                   LognormalSampler, UniformSampler, ParetoSampler,
-                   EmpiricalSampler, MixtureSampler>;
+                   LognormalSampler, UniformSampler, MixtureSampler>;
 
   // Implicit from any alternative: call sites pass the concrete sampler.
   template <typename S,
@@ -455,8 +400,7 @@ inline void MixtureSampler::sample_n(Rng& rng, double* out,
   }
 }
 
-/// Instantiate the sampler a DistSpec describes (the variant twin of
-/// make_distribution).
+/// Instantiate the sampler a DistSpec describes.
 SamplerVariant make_sampler(const DistSpec& spec);
 
 }  // namespace psd

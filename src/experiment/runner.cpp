@@ -10,7 +10,6 @@
 #include <thread>
 
 #include "baselines/pdd_policies.hpp"
-#include "baselines/static_allocators.hpp"
 #include "cluster/dispatcher.hpp"
 #include "common/error.hpp"
 #include "core/psd_allocation.hpp"
@@ -57,21 +56,7 @@ std::unique_ptr<RateAllocator> make_scenario_allocator(
   pc.mean_size = mean_size;
   pc.rho_max = cfg.rho_max;
   pc.min_residual_share = cfg.min_residual_share;
-  switch (cfg.allocator) {
-    case AllocatorKind::kPsd:
-      return std::make_unique<PsdRateAllocator>(pc);
-    case AllocatorKind::kAdaptivePsd:
-      return std::make_unique<AdaptivePsdAllocator>(pc, cfg.adaptive);
-    case AllocatorKind::kEqualShare:
-      return std::make_unique<EqualShareAllocator>(cfg.num_classes(),
-                                                   cfg.capacity);
-    case AllocatorKind::kLoadProportional:
-      return std::make_unique<LoadProportionalAllocator>(
-          cfg.num_classes(), cfg.capacity, mean_size);
-    case AllocatorKind::kNone:
-      return nullptr;
-  }
-  PSD_UNREACHABLE("unknown allocator kind");
+  return make_allocator(cfg.allocator, pc, cfg.adaptive);
 }
 
 // Doc comments for the detail functions live in scenario_build.hpp.
@@ -172,8 +157,9 @@ RunResult run_cluster_scenario(const ScenarioConfig& cfg,
   std::vector<double> cutoffs;
   if (cfg.cluster_policy == AssignmentPolicy::kSizeInterval) {
     // validate() guarantees a bounded-pareto spec here.
-    BoundedPareto bp(cfg.size_dist.a, cfg.size_dist.b, cfg.size_dist.c);
-    cutoffs = sita_equal_load_cutoffs(bp, nodes);
+    cutoffs = sita_equal_load_cutoffs(
+        BoundedParetoSampler(cfg.size_dist.a, cfg.size_dist.b, cfg.size_dist.c),
+        nodes);
   }
 
   Cluster cluster(

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "admission/admission.hpp"
@@ -38,6 +39,14 @@ enum class AllocatorKind {
   kLoadProportional,
   kNone,              ///< Keep initial rates forever (no reallocation).
 };
+
+/// The rate allocator `kind` names, built from one eq.-17 config: the
+/// baselines read its class count (delta.size()), capacity and mean size;
+/// `adaptive` tunes only kAdaptivePsd.  Null for kNone.  The simulator, the
+/// rt controller and the cluster's global controller all build through this.
+std::unique_ptr<RateAllocator> make_allocator(AllocatorKind kind,
+                                              const PsdAllocatorConfig& pc,
+                                              const AdaptiveConfig& adaptive);
 
 struct ScenarioConfig {
   // --- classes & workload ---

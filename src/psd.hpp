@@ -2,41 +2,27 @@
 //
 // psdserv — processing-rate allocation for proportional slowdown
 // differentiation (PSD) on Internet servers, after Zhou, Wei & Xu,
-// IPDPS 2004.  See README.md for a tour and DESIGN.md for the system map.
+// IPDPS 2004.  See README.md for a tour of the layers.
 #pragma once
 
 #include "common/math.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
 
-#include "stats/batch_means.hpp"
 #include "stats/ci.hpp"
 #include "stats/histogram.hpp"
 #include "stats/interval_series.hpp"
 #include "stats/online.hpp"
-#include "stats/p2_quantile.hpp"
 #include "stats/percentile.hpp"
-#include "stats/reservoir.hpp"
 
-#include "dist/adapter.hpp"
 #include "dist/alias_table.hpp"
-#include "dist/bounded_exponential.hpp"
-#include "dist/bounded_pareto.hpp"
-#include "dist/deterministic.hpp"
-#include "dist/empirical.hpp"
-#include "dist/exponential.hpp"
 #include "dist/factory.hpp"
-#include "dist/lognormal.hpp"
-#include "dist/mixture.hpp"
-#include "dist/pareto.hpp"
 #include "dist/sampler.hpp"
-#include "dist/uniform.hpp"
 #include "dist/ziggurat.hpp"
 
 #include "queueing/md1.hpp"
 #include "queueing/mg1.hpp"
 #include "queueing/mg1_priority.hpp"
-#include "queueing/mm1.hpp"
 
 #include "sim/periodic.hpp"
 #include "sim/simulator.hpp"

@@ -8,7 +8,7 @@
 
 namespace psd {
 
-Mg1::Mg1(double lambda, const SizeDistribution& dist, double rate,
+Mg1::Mg1(double lambda, const SamplerVariant& dist, double rate,
          double third_moment)
     : lambda_(lambda), rate_(rate), m3_(third_moment) {
   PSD_REQUIRE(lambda > 0.0, "arrival rate must be positive");

@@ -14,7 +14,7 @@
 #pragma once
 
 #include "common/types.hpp"
-#include "dist/distribution.hpp"
+#include "dist/sampler.hpp"
 
 namespace psd {
 
@@ -30,9 +30,9 @@ class Mg1 {
   /// lambda > 0, rate > 0.  Stability (rho < 1) is NOT required to construct;
   /// metrics throw std::domain_error when the queue is unstable.
   /// Second-moment metrics (wait_second_moment, slowdown variance) need the
-  /// distribution's third moment; pass it via `third_moment` when the
-  /// SizeDistribution interface cannot provide it (NaN disables them).
-  Mg1(double lambda, const SizeDistribution& dist, double rate = 1.0,
+  /// distribution's third moment, which the sampler does not carry; pass it
+  /// via `third_moment` (NaN disables them).
+  Mg1(double lambda, const SamplerVariant& dist, double rate = 1.0,
       double third_moment = kNaN);
 
   double utilization() const;

@@ -9,7 +9,7 @@
 namespace psd {
 
 Mg1Priority::Mg1Priority(std::vector<double> lambda,
-                         std::vector<const SizeDistribution*> dist,
+                         const std::vector<SamplerVariant>& dist,
                          double rate)
     : lambda_(std::move(lambda)), rate_(rate) {
   PSD_REQUIRE(!lambda_.empty(), "need at least one class");
@@ -22,11 +22,10 @@ Mg1Priority::Mg1Priority(std::vector<double> lambda,
   residual_ = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     PSD_REQUIRE(lambda_[i] > 0.0, "lambda must be positive");
-    PSD_REQUIRE(dist[i] != nullptr, "distribution required");
-    mean_[i] = dist[i]->mean() / rate_;
-    m2_[i] = dist[i]->second_moment() / (rate_ * rate_);
+    mean_[i] = dist[i].mean() / rate_;
+    m2_[i] = dist[i].second_moment() / (rate_ * rate_);
     try {
-      mean_inv_[i] = dist[i]->mean_inverse() * rate_;
+      mean_inv_[i] = dist[i].mean_inverse() * rate_;
     } catch (const std::domain_error&) {
       mean_inv_[i] = kNaN;
     }

@@ -17,16 +17,16 @@
 
 #include <vector>
 
-#include "dist/distribution.hpp"
+#include "dist/sampler.hpp"
 
 namespace psd {
 
 class Mg1Priority {
  public:
-  /// Classes ordered by priority (index 0 served first).  All classes share
-  /// one processor of rate `rate`.
+  /// Classes ordered by priority (index 0 served first); `dist[i]` is class
+  /// i's service-time law.  All classes share one processor of rate `rate`.
   Mg1Priority(std::vector<double> lambda,
-              std::vector<const SizeDistribution*> dist, double rate = 1.0);
+              const std::vector<SamplerVariant>& dist, double rate = 1.0);
 
   std::size_t num_classes() const { return lambda_.size(); }
   double utilization() const;  ///< Total rho.

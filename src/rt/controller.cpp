@@ -3,46 +3,20 @@
 #include <cmath>
 #include <numeric>
 
-#include "baselines/static_allocators.hpp"
-#include "core/psd_rate_allocator.hpp"
-
 namespace psd::rt {
 
-namespace {
-
-std::unique_ptr<RateAllocator> make_rt_allocator(const ControllerConfig& cfg) {
-  PsdAllocatorConfig pc;
-  pc.delta = cfg.delta;
-  pc.capacity = cfg.total_capacity;
-  pc.mean_size = cfg.mean_size;
-  pc.rho_max = cfg.rho_max;
-  pc.min_residual_share = cfg.min_residual_share;
-  switch (cfg.allocator) {
-    case AllocatorKind::kPsd:
-      return std::make_unique<PsdRateAllocator>(pc);
-    case AllocatorKind::kAdaptivePsd:
-      return std::make_unique<AdaptivePsdAllocator>(pc, cfg.adaptive);
-    case AllocatorKind::kEqualShare:
-      return std::make_unique<EqualShareAllocator>(cfg.delta.size(),
-                                                   cfg.total_capacity);
-    case AllocatorKind::kLoadProportional:
-      return std::make_unique<LoadProportionalAllocator>(
-          cfg.delta.size(), cfg.total_capacity, cfg.mean_size);
-    case AllocatorKind::kNone:
-      return nullptr;
-  }
-  PSD_UNREACHABLE("unknown allocator kind");
-}
-
-}  // namespace
-
 Controller::Controller(ControllerConfig cfg, std::vector<Shard*> shards)
-    : cfg_(std::move(cfg)),
-      shards_(std::move(shards)),
-      allocator_(make_rt_allocator(cfg_)) {
+    : cfg_(std::move(cfg)), shards_(std::move(shards)) {
   PSD_REQUIRE(!shards_.empty(), "controller needs at least one shard");
   PSD_REQUIRE(!cfg_.delta.empty() && cfg_.delta.size() <= kMaxRtClasses,
               "controller supports 1..kMaxRtClasses classes");
+  PsdAllocatorConfig pc;
+  pc.delta = cfg_.delta;
+  pc.capacity = cfg_.total_capacity;
+  pc.mean_size = cfg_.mean_size;
+  pc.rho_max = cfg_.rho_max;
+  pc.min_residual_share = cfg_.min_residual_share;
+  allocator_ = make_allocator(cfg_.allocator, pc, cfg_.adaptive);
   windows_seen_.assign(shards_.size() * cfg_.delta.size(), 0);
   // Until the first warm tick, every shard runs its initial (equal) split.
   rates_.assign(cfg_.delta.size(),

@@ -6,14 +6,14 @@
 
 #include "common/types.hpp"
 #include "core/adaptive_psd.hpp"
-#include "dist/bounded_pareto.hpp"
+#include "dist/sampler.hpp"
 #include "workload/class_spec.hpp"
 
 namespace psd {
 namespace {
 
 PsdAllocatorConfig paper_cfg() {
-  BoundedPareto bp(1.5, 0.1, 100.0);
+  const BoundedParetoSampler bp(1.5, 0.1, 100.0);
   PsdAllocatorConfig c;
   c.delta = {1.0, 2.0};
   c.capacity = 1.0;
@@ -24,7 +24,7 @@ PsdAllocatorConfig paper_cfg() {
 TEST(AdaptivePsd, NoObservationsBehavesLikeOpenLoop) {
   AdaptivePsdAllocator adaptive(paper_cfg(), {});
   PsdRateAllocator open(paper_cfg());
-  BoundedPareto bp(1.5, 0.1, 100.0);
+  const BoundedParetoSampler bp(1.5, 0.1, 100.0);
   const auto lam = rates_for_equal_load(0.5, 1.0, bp.mean(), 2);
   const auto ra = adaptive.allocate(lam);
   const auto ro = open.allocate(lam);
@@ -41,7 +41,7 @@ TEST(AdaptivePsd, OnTargetObservationsLeaveBiasNearZero) {
 
 TEST(AdaptivePsd, SlowClassGetsMoreRateNextRound) {
   AdaptivePsdAllocator a(paper_cfg(), {});
-  BoundedPareto bp(1.5, 0.1, 100.0);
+  const BoundedParetoSampler bp(1.5, 0.1, 100.0);
   const auto lam = rates_for_equal_load(0.5, 1.0, bp.mean(), 2);
   const auto before = a.allocate(lam);
   // Class 0 running at ratio 1:1 instead of 1:2 — class 1 is too slow
@@ -81,7 +81,7 @@ TEST(AdaptivePsd, IgnoresWindowsWithSilentClasses) {
 
 TEST(AdaptivePsd, RatesRemainFeasibleUnderFeedback) {
   AdaptivePsdAllocator a(paper_cfg(), {});
-  BoundedPareto bp(1.5, 0.1, 100.0);
+  const BoundedParetoSampler bp(1.5, 0.1, 100.0);
   const auto lam = rates_for_equal_load(0.8, 1.0, bp.mean(), 2);
   for (int i = 0; i < 50; ++i) {
     a.observe_slowdowns({50.0, 10.0 + i});

@@ -10,7 +10,7 @@
 #include "admission/admission.hpp"
 #include "core/psd_allocation.hpp"
 #include "core/psd_rate_allocator.hpp"
-#include "dist/bounded_pareto.hpp"
+#include "dist/sampler.hpp"
 #include "sched/dedicated_rate.hpp"
 #include "server/server.hpp"
 #include "workload/arrival.hpp"
@@ -64,11 +64,11 @@ TEST(UtilizationGate, RejectsBadConstruction) {
 }
 
 TEST(SlowdownBudgetGate, AdmitsWhileBudgetHolds) {
-  BoundedPareto bp(1.5, 0.1, 100.0);
+  const BoundedParetoSampler bp(1.5, 0.1, 100.0);
   // eq. 18 unit slowdown at load 0.5, two equal classes, deltas (1,2).
   const auto lam = rates_for_equal_load(0.5, 1.0, bp.mean(), 2);
   const auto sd = expected_psd_slowdowns(lam, {1.0, 2.0}, bp);
-  SlowdownBudgetGate generous({1.0, 2.0}, BoundedParetoSampler(bp), 1.0,
+  SlowdownBudgetGate generous({1.0, 2.0}, bp, 1.0,
                               sd[0] * 1.5 /* above prediction */);
   generous.update(lam);
   EXPECT_TRUE(generous.admit(0));
@@ -76,11 +76,10 @@ TEST(SlowdownBudgetGate, AdmitsWhileBudgetHolds) {
 }
 
 TEST(SlowdownBudgetGate, ShedsWhenBudgetExceeded) {
-  BoundedPareto bp(1.5, 0.1, 100.0);
+  const BoundedParetoSampler bp(1.5, 0.1, 100.0);
   const auto lam = rates_for_equal_load(0.9, 1.0, bp.mean(), 2);
   const auto sd = expected_psd_slowdowns(lam, {1.0, 2.0}, bp);
-  SlowdownBudgetGate tight({1.0, 2.0}, BoundedParetoSampler(bp), 1.0,
-                           sd[0] * 0.25);
+  SlowdownBudgetGate tight({1.0, 2.0}, bp, 1.0, sd[0] * 0.25);
   tight.update(lam);
   EXPECT_TRUE(tight.admit(0));   // highest class survives
   EXPECT_FALSE(tight.admit(1));  // lower class shed
@@ -89,11 +88,11 @@ TEST(SlowdownBudgetGate, ShedsWhenBudgetExceeded) {
 TEST(SlowdownBudgetGate, SheddingActuallyRestoresBudget) {
   // After shedding class 2, eq. 18 for class 1 alone must satisfy the
   // budget that triggered the shed (when feasible).
-  BoundedPareto bp(1.5, 0.1, 100.0);
+  const BoundedParetoSampler bp(1.5, 0.1, 100.0);
   const auto lam = rates_for_equal_load(0.8, 1.0, bp.mean(), 2);
   const auto full = expected_psd_slowdowns(lam, {1.0, 2.0}, bp);
   const double budget = full[0] * 0.6;
-  SlowdownBudgetGate gate({1.0, 2.0}, BoundedParetoSampler(bp), 1.0, budget);
+  SlowdownBudgetGate gate({1.0, 2.0}, bp, 1.0, budget);
   gate.update(lam);
   ASSERT_FALSE(gate.admit(1));
   const auto solo = expected_psd_slowdowns({lam[0]}, {1.0}, bp);
@@ -101,11 +100,10 @@ TEST(SlowdownBudgetGate, SheddingActuallyRestoresBudget) {
 }
 
 TEST(SlowdownBudgetGate, InfeasibleLoadShedsToFeasibility) {
-  BoundedPareto bp(1.5, 0.1, 100.0);
+  const BoundedParetoSampler bp(1.5, 0.1, 100.0);
   const auto lam = rates_for_equal_load(0.9, 1.0, bp.mean(), 3);
   std::vector<double> heavy = {lam[0] * 2, lam[1] * 2, lam[2] * 2};  // rho 1.8
-  SlowdownBudgetGate gate({1.0, 2.0, 3.0}, BoundedParetoSampler(bp), 1.0,
-                          50.0);
+  SlowdownBudgetGate gate({1.0, 2.0, 3.0}, bp, 1.0, 50.0);
   gate.update(heavy);
   EXPECT_TRUE(gate.admit(0));
   EXPECT_FALSE(gate.admit(2));  // at least the lowest class must go
@@ -222,7 +220,7 @@ TEST(ServerAdmission, GateDecisionsLatchOnEstimationWindows) {
   // the lulls — but every verdict change must coincide with an estimator
   // tick, and every tick must land on a realloc_period boundary.
   Simulator sim;
-  BoundedPareto bp(1.5, 0.1, 100.0);
+  const BoundedParetoSampler bp(1.5, 0.1, 100.0);
   ServerConfig sc;
   sc.num_classes = 2;
   sc.realloc_period = 200.0;
@@ -250,7 +248,7 @@ TEST(ServerAdmission, GateDecisionsLatchOnEstimationWindows) {
     gens.push_back(std::make_unique<RequestGenerator>(
         sim, Rng(50 + c), c,
         make_bursty_arrivals(lam[c], 1.8, 2000.0 * lam[c], 0.5),
-        BoundedParetoSampler(bp), server));
+        bp, server));
     gens.back()->start(0.0);
   }
   sim.run_until(40000.0);
@@ -268,7 +266,7 @@ TEST(ServerAdmission, OverloadedServerStaysStableWithGate) {
   // Offered load 1.6 (unstable).  With the utilization gate the highest
   // class must still see bounded queues and complete steadily.
   Simulator sim;
-  BoundedPareto bp(1.5, 0.1, 100.0);
+  const BoundedParetoSampler bp(1.5, 0.1, 100.0);
   ServerConfig sc;
   sc.num_classes = 2;
   sc.realloc_period = 200.0;
@@ -289,8 +287,7 @@ TEST(ServerAdmission, OverloadedServerStaysStableWithGate) {
   std::vector<std::unique_ptr<RequestGenerator>> gens;
   for (ClassId c = 0; c < 2; ++c) {
     gens.push_back(std::make_unique<RequestGenerator>(
-        sim, Rng(50 + c), c, PoissonArrivals(lam[c]),
-        BoundedParetoSampler(bp), server));
+        sim, Rng(50 + c), c, PoissonArrivals(lam[c]), bp, server));
     gens.back()->start(0.0);
   }
   sim.run_until(20000.0);

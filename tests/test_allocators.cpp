@@ -5,14 +5,14 @@
 
 #include "baselines/static_allocators.hpp"
 #include "core/psd_rate_allocator.hpp"
-#include "dist/bounded_pareto.hpp"
+#include "dist/sampler.hpp"
 #include "workload/class_spec.hpp"
 
 namespace psd {
 namespace {
 
 PsdAllocatorConfig paper_cfg() {
-  BoundedPareto bp(1.5, 0.1, 100.0);
+  const BoundedParetoSampler bp(1.5, 0.1, 100.0);
   PsdAllocatorConfig c;
   c.delta = {1.0, 2.0};
   c.capacity = 1.0;
@@ -21,7 +21,7 @@ PsdAllocatorConfig paper_cfg() {
 }
 
 TEST(PsdRateAllocator, MatchesClosedFormOnTrueLambdas) {
-  BoundedPareto bp(1.5, 0.1, 100.0);
+  const BoundedParetoSampler bp(1.5, 0.1, 100.0);
   auto cfg = paper_cfg();
   cfg.min_residual_share = 0.0;
   PsdRateAllocator alloc(cfg);
@@ -39,7 +39,7 @@ TEST(PsdRateAllocator, MatchesClosedFormOnTrueLambdas) {
 }
 
 TEST(PsdRateAllocator, AlwaysFeasibleUnderEstimatorSpikes) {
-  BoundedPareto bp(1.5, 0.1, 100.0);
+  const BoundedParetoSampler bp(1.5, 0.1, 100.0);
   PsdRateAllocator alloc(paper_cfg());
   // Estimate spike: 5x the capacity.
   const auto lam = rates_for_equal_load(0.9, 1.0, bp.mean(), 2);

@@ -1,6 +1,7 @@
-// Bounded Pareto: closed-form moments vs numeric integration vs sampling;
-// inverse-CDF correctness; Lemma-2 rate scaling — parameterized across the
-// (alpha, k, p) grid the paper sweeps in Figs. 11-12.
+// Bounded Pareto sampler: closed-form moments vs numeric integration vs
+// sampling; inverse-transform correctness; Lemma-2 rate scaling —
+// parameterized across the (alpha, k, p) grid the paper sweeps in
+// Figs. 11-12.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -8,60 +9,58 @@
 
 #include "common/math.hpp"
 #include "common/rng.hpp"
-#include "dist/bounded_pareto.hpp"
+#include "dist/sampler.hpp"
 #include "stats/online.hpp"
 
 namespace psd {
 namespace {
 
+/// pdf(x) = g x^{-alpha-1} on [k, p].
+double bp_pdf(const BoundedParetoSampler& bp, double x) {
+  return bp.normalizer() * std::pow(x, -bp.alpha() - 1.0);
+}
+
+/// CDF oracle: (1 - (k/x)^alpha) / (1 - (k/p)^alpha) on [k, p].
+double bp_cdf(const BoundedParetoSampler& bp, double x) {
+  const double k = bp.min_value(), p = bp.max_value(), a = bp.alpha();
+  return (1.0 - std::pow(k / x, a)) / (1.0 - std::pow(k / p, a));
+}
+
 TEST(BoundedPareto, RejectsInvalidParameters) {
-  EXPECT_THROW(BoundedPareto(0.0, 0.1, 100.0), std::invalid_argument);
-  EXPECT_THROW(BoundedPareto(1.5, 0.0, 100.0), std::invalid_argument);
-  EXPECT_THROW(BoundedPareto(1.5, -1.0, 100.0), std::invalid_argument);
-  EXPECT_THROW(BoundedPareto(1.5, 100.0, 100.0), std::invalid_argument);
-  EXPECT_THROW(BoundedPareto(1.5, 100.0, 0.1), std::invalid_argument);
+  EXPECT_THROW(BoundedParetoSampler(0.0, 0.1, 100.0), std::invalid_argument);
+  EXPECT_THROW(BoundedParetoSampler(1.5, 0.0, 100.0), std::invalid_argument);
+  EXPECT_THROW(BoundedParetoSampler(1.5, -1.0, 100.0), std::invalid_argument);
+  EXPECT_THROW(BoundedParetoSampler(1.5, 100.0, 100.0), std::invalid_argument);
+  EXPECT_THROW(BoundedParetoSampler(1.5, 100.0, 0.1), std::invalid_argument);
 }
 
 TEST(BoundedPareto, PdfIntegratesToOne) {
-  BoundedPareto bp(1.5, 0.1, 100.0);
+  // Checks the normalizer g that SITA-E and moment(n) build on.
+  const BoundedParetoSampler bp(1.5, 0.1, 100.0);
   const double total =
-      integrate([&](double x) { return bp.pdf(x); }, 0.1, 100.0);
+      integrate([&](double x) { return bp_pdf(bp, x); }, 0.1, 100.0);
   EXPECT_NEAR(total, 1.0, 1e-8);
 }
 
-TEST(BoundedPareto, PdfZeroOutsideSupport) {
-  BoundedPareto bp(1.5, 0.1, 100.0);
-  EXPECT_DOUBLE_EQ(bp.pdf(0.05), 0.0);
-  EXPECT_DOUBLE_EQ(bp.pdf(100.5), 0.0);
-  EXPECT_GT(bp.pdf(0.1), 0.0);
-  EXPECT_GT(bp.pdf(100.0), 0.0);
-}
-
-TEST(BoundedPareto, CdfEndpointsAndMonotonicity) {
-  BoundedPareto bp(1.5, 0.1, 100.0);
-  EXPECT_DOUBLE_EQ(bp.cdf(0.1), 0.0);
-  EXPECT_DOUBLE_EQ(bp.cdf(100.0), 1.0);
-  double prev = 0.0;
-  for (double x : {0.2, 0.5, 1.0, 5.0, 20.0, 80.0}) {
-    const double c = bp.cdf(x);
-    EXPECT_GT(c, prev);
-    prev = c;
-  }
-}
-
 TEST(BoundedPareto, InverseCdfRoundTrip) {
-  BoundedPareto bp(1.5, 0.1, 100.0);
-  for (double u : {0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.999}) {
-    const double x = bp.inv_cdf(u);
-    EXPECT_NEAR(bp.cdf(x), u, 1e-10);
+  // sample() is the inverse CDF of its uniform draw: replay the stream and
+  // map each variate back through the CDF.  Covers every fast path.
+  for (double alpha : {1.0, 1.5, 2.0, 2.7}) {
+    const BoundedParetoSampler bp(alpha, 0.1, 100.0);
+    Rng draws(7), uniforms(7);
+    for (int i = 0; i < 2000; ++i) {
+      const double u = uniforms.uniform01();
+      const double x = bp.sample(draws);
+      ASSERT_GE(x, bp.min_value());
+      ASSERT_LE(x, bp.max_value());
+      EXPECT_NEAR(bp_cdf(bp, x), u, 1e-10) << "alpha=" << alpha;
+    }
   }
-  EXPECT_THROW(bp.inv_cdf(1.0), std::invalid_argument);
-  EXPECT_THROW(bp.inv_cdf(-0.1), std::invalid_argument);
 }
 
 TEST(BoundedPareto, PaperDefaultMoments) {
   // The exact scalars driving every figure: BP(1.5, 0.1, 100).
-  BoundedPareto bp(1.5, 0.1, 100.0);
+  const BoundedParetoSampler bp(1.5, 0.1, 100.0);
   EXPECT_NEAR(bp.mean(), 0.29052, 1e-4);
   EXPECT_NEAR(bp.second_moment(), 0.91871, 1e-4);
   EXPECT_NEAR(bp.mean_inverse(), 6.0002, 1e-3);
@@ -71,9 +70,9 @@ using BpParams = std::tuple<double, double, double>;
 
 class BpMomentGrid : public ::testing::TestWithParam<BpParams> {
  protected:
-  BoundedPareto make() const {
+  BoundedParetoSampler make() const {
     const auto [a, k, p] = GetParam();
-    return BoundedPareto(a, k, p);
+    return BoundedParetoSampler(a, k, p);
   }
 };
 
@@ -82,8 +81,8 @@ TEST_P(BpMomentGrid, ClosedFormMatchesQuadrature) {
   for (double n : {-1.0, 1.0, 2.0}) {
     const double closed = bp.moment(n);
     const double numeric = integrate(
-        [&](double x) { return std::pow(x, n) * bp.pdf(x); }, bp.lower(),
-        bp.upper(), 1e-11);
+        [&](double x) { return std::pow(x, n) * bp_pdf(bp, x); },
+        bp.min_value(), bp.max_value(), 1e-11);
     EXPECT_NEAR(closed / numeric, 1.0, 1e-6)
         << "n=" << n << " " << bp.name();
   }
@@ -96,8 +95,8 @@ TEST_P(BpMomentGrid, SampleMomentsMatchClosedForm) {
   const int n = 400000;
   for (int i = 0; i < n; ++i) {
     const double x = bp.sample(rng);
-    ASSERT_GE(x, bp.lower());
-    ASSERT_LE(x, bp.upper());
+    ASSERT_GE(x, bp.min_value());
+    ASSERT_LE(x, bp.max_value());
     m.add(x);
     inv.add(1.0 / x);
   }
@@ -110,7 +109,7 @@ TEST_P(BpMomentGrid, SampleMomentsMatchClosedForm) {
 TEST_P(BpMomentGrid, Lemma2ScalingOfAllThreeMoments) {
   const auto bp = make();
   for (double r : {0.25, 0.5, 2.0, 7.5}) {
-    const BoundedPareto scaled = bp.scaled_by_rate(r);
+    const BoundedParetoSampler scaled = bp.scaled_by_rate(r);
     // Lemma 2: E[X_i] = E[X]/r, E[X_i^2] = E[X^2]/r^2, E[1/X_i] = r E[1/X].
     EXPECT_NEAR(scaled.mean(), bp.mean() / r, 1e-9 * bp.mean() / r);
     EXPECT_NEAR(scaled.second_moment(), bp.second_moment() / (r * r),
@@ -118,8 +117,8 @@ TEST_P(BpMomentGrid, Lemma2ScalingOfAllThreeMoments) {
     EXPECT_NEAR(scaled.mean_inverse(), r * bp.mean_inverse(),
                 1e-9 * r * bp.mean_inverse());
     // Support scales as [k/r, p/r] (paper's task-server distribution).
-    EXPECT_NEAR(scaled.min_value(), bp.lower() / r, 1e-12);
-    EXPECT_NEAR(scaled.max_value(), bp.upper() / r, 1e-9);
+    EXPECT_NEAR(scaled.min_value(), bp.min_value() / r, 1e-12);
+    EXPECT_NEAR(scaled.max_value(), bp.max_value() / r, 1e-9);
   }
 }
 
@@ -137,7 +136,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(BoundedPareto, AlphaEqualsMomentOrderUsesLogForm) {
   // E[X^n] at n == alpha switches to g*ln(p/k); check continuity around it.
-  BoundedPareto bp(2.0, 0.1, 100.0);
+  const BoundedParetoSampler bp(2.0, 0.1, 100.0);
   const double at = bp.moment(2.0);
   const double below = bp.moment(2.0 - 1e-7);
   const double above = bp.moment(2.0 + 1e-7);
@@ -148,7 +147,7 @@ TEST(BoundedPareto, AlphaEqualsMomentOrderUsesLogForm) {
 TEST(BoundedPareto, ShapeParameterEffectMatchesFig11Narrative) {
   // Paper §4.5: smaller alpha => larger E[X^2] (burstier) => larger slowdown;
   // E[1/X] shrinks slightly as alpha falls.
-  BoundedPareto lo(1.1, 0.1, 100.0), hi(1.9, 0.1, 100.0);
+  const BoundedParetoSampler lo(1.1, 0.1, 100.0), hi(1.9, 0.1, 100.0);
   EXPECT_GT(lo.second_moment(), hi.second_moment());
   EXPECT_GT(lo.second_moment() * lo.mean_inverse(),
             hi.second_moment() * hi.mean_inverse());
@@ -156,20 +155,20 @@ TEST(BoundedPareto, ShapeParameterEffectMatchesFig11Narrative) {
 
 TEST(BoundedPareto, UpperBoundEffectMatchesFig12Narrative) {
   // Paper §4.5: larger p => larger E[X^2], E[1/X] nearly unchanged.
-  BoundedPareto p100(1.5, 0.1, 100.0), p10k(1.5, 0.1, 10000.0);
+  const BoundedParetoSampler p100(1.5, 0.1, 100.0), p10k(1.5, 0.1, 10000.0);
   EXPECT_GT(p10k.second_moment(), p100.second_moment());
   EXPECT_NEAR(p10k.mean_inverse() / p100.mean_inverse(), 1.0, 0.01);
 }
 
 TEST(BoundedPareto, CopyIsIndependentAndEqual) {
-  BoundedPareto bp(1.5, 0.1, 100.0);
-  const BoundedPareto c = bp;  // plain value copy, no heap clone
+  const BoundedParetoSampler bp(1.5, 0.1, 100.0);
+  const BoundedParetoSampler c = bp;  // plain value copy, no heap clone
   EXPECT_EQ(c.name(), bp.name());
   EXPECT_DOUBLE_EQ(c.mean(), bp.mean());
 }
 
 TEST(BoundedPareto, ScvIsLargeForHeavyTail) {
-  BoundedPareto bp(1.5, 0.1, 100.0);
+  const SamplerVariant bp = BoundedParetoSampler(1.5, 0.1, 100.0);
   EXPECT_GT(bp.scv(), 5.0);  // strongly non-exponential
 }
 

@@ -1,6 +1,7 @@
 // Cluster dispatcher: routing policies, SITA-E cutoffs, aggregate metrics.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 
 #include "cluster/dispatcher.hpp"
@@ -28,7 +29,15 @@ Cluster::BackendFactory dedicated_factory() {
   return [] { return std::make_unique<DedicatedRateBackend>(); };
 }
 
-Cluster::AllocatorFactory psd_factory(const BoundedPareto& bp,
+/// Expected work of BP(alpha, k, p) sizes in [a, b], by quadrature on
+/// x pdf(x) = g x^{-alpha} — the oracle for the closed-form SITA-E cutoffs.
+double bp_work(const BoundedParetoSampler& bp, double a, double b) {
+  return integrate(
+      [&](double x) { return bp.normalizer() * std::pow(x, -bp.alpha()); }, a,
+      b, 1e-10);
+}
+
+Cluster::AllocatorFactory psd_factory(const BoundedParetoSampler& bp,
                                       std::vector<double> delta) {
   PsdAllocatorConfig pc;
   pc.delta = std::move(delta);
@@ -37,28 +46,25 @@ Cluster::AllocatorFactory psd_factory(const BoundedPareto& bp,
 }
 
 TEST(SitaCutoffs, EqualLoadPartition) {
-  BoundedPareto bp(1.5, 0.1, 100.0);
+  const BoundedParetoSampler bp(1.5, 0.1, 100.0);
   const auto cuts = sita_equal_load_cutoffs(bp, 3);
   ASSERT_EQ(cuts.size(), 2u);
-  EXPECT_GT(cuts[0], bp.lower());
-  EXPECT_LT(cuts[1], bp.upper());
+  EXPECT_GT(cuts[0], bp.min_value());
+  EXPECT_LT(cuts[1], bp.max_value());
   EXPECT_LT(cuts[0], cuts[1]);
   // Each interval carries 1/3 of E[X]: check by quadrature on x f(x).
-  auto work = [&](double a, double b) {
-    return integrate([&](double x) { return x * bp.pdf(x); }, a, b, 1e-10);
-  };
-  const double total = work(bp.lower(), bp.upper());
-  EXPECT_NEAR(work(bp.lower(), cuts[0]) / total, 1.0 / 3.0, 1e-3);
-  EXPECT_NEAR(work(cuts[0], cuts[1]) / total, 1.0 / 3.0, 1e-3);
+  const double total = bp_work(bp, bp.min_value(), bp.max_value());
+  EXPECT_NEAR(bp_work(bp, bp.min_value(), cuts[0]) / total, 1.0 / 3.0, 1e-3);
+  EXPECT_NEAR(bp_work(bp, cuts[0], cuts[1]) / total, 1.0 / 3.0, 1e-3);
 }
 
 TEST(SitaCutoffs, SingleNodeHasNoCutoffs) {
-  BoundedPareto bp(1.5, 0.1, 100.0);
+  const BoundedParetoSampler bp(1.5, 0.1, 100.0);
   EXPECT_TRUE(sita_equal_load_cutoffs(bp, 1).empty());
 }
 
 TEST(SitaCutoffs, ZeroNodesRejected) {
-  BoundedPareto bp(1.5, 0.1, 100.0);
+  const BoundedParetoSampler bp(1.5, 0.1, 100.0);
   EXPECT_THROW(sita_equal_load_cutoffs(bp, 0), std::invalid_argument);
 }
 
@@ -67,12 +73,12 @@ TEST(SitaCutoffs, ManyNodesStayMonotoneAndInterior) {
   // sense: 64 intervals over [0.1, 100].  Cutoffs must stay strictly
   // increasing and strictly inside (k, p) — the bisection must not collapse
   // adjacent cutoffs onto each other or the bounds.
-  BoundedPareto bp(1.5, 0.1, 100.0);
+  const BoundedParetoSampler bp(1.5, 0.1, 100.0);
   const std::size_t nodes = 64;
   const auto cuts = sita_equal_load_cutoffs(bp, nodes);
   ASSERT_EQ(cuts.size(), nodes - 1);
-  EXPECT_GT(cuts.front(), bp.lower());
-  EXPECT_LT(cuts.back(), bp.upper());
+  EXPECT_GT(cuts.front(), bp.min_value());
+  EXPECT_LT(cuts.back(), bp.max_value());
   for (std::size_t i = 1; i < cuts.size(); ++i) {
     EXPECT_GT(cuts[i], cuts[i - 1]);
   }
@@ -81,12 +87,12 @@ TEST(SitaCutoffs, ManyNodesStayMonotoneAndInterior) {
 TEST(SitaCutoffs, NarrowSupportStaysOrdered) {
   // Nodes >> the distribution's dynamic range: a nearly-degenerate support
   // [1, 1.001] still yields non-decreasing interior cutoffs.
-  BoundedPareto bp(1.5, 1.0, 1.001);
+  const BoundedParetoSampler bp(1.5, 1.0, 1.001);
   const auto cuts = sita_equal_load_cutoffs(bp, 8);
   ASSERT_EQ(cuts.size(), 7u);
   for (std::size_t i = 0; i < cuts.size(); ++i) {
-    EXPECT_GE(cuts[i], bp.lower());
-    EXPECT_LE(cuts[i], bp.upper());
+    EXPECT_GE(cuts[i], bp.min_value());
+    EXPECT_LE(cuts[i], bp.max_value());
     if (i > 0) EXPECT_GE(cuts[i], cuts[i - 1]);
   }
 }
@@ -94,30 +100,24 @@ TEST(SitaCutoffs, NarrowSupportStaysOrdered) {
 TEST(SitaCutoffs, AlphaOneUsesLogForm) {
   // alpha == 1 hits the log branch of the partial-work integral; the
   // equal-load property must hold there too.
-  BoundedPareto bp(1.0, 0.1, 100.0);
+  const BoundedParetoSampler bp(1.0, 0.1, 100.0);
   const auto cuts = sita_equal_load_cutoffs(bp, 2);
   ASSERT_EQ(cuts.size(), 1u);
-  auto work = [&](double a, double b) {
-    return integrate([&](double x) { return x * bp.pdf(x); }, a, b, 1e-10);
-  };
-  EXPECT_NEAR(work(bp.lower(), cuts[0]) / work(bp.lower(), bp.upper()), 0.5,
-              1e-3);
+  const double total = bp_work(bp, bp.min_value(), bp.max_value());
+  EXPECT_NEAR(bp_work(bp, bp.min_value(), cuts[0]) / total, 0.5, 1e-3);
 }
 
 TEST(SitaCutoffs, TwoNodesHalveTheWork) {
-  BoundedPareto bp(1.5, 0.1, 100.0);
+  const BoundedParetoSampler bp(1.5, 0.1, 100.0);
   const auto cuts = sita_equal_load_cutoffs(bp, 2);
   ASSERT_EQ(cuts.size(), 1u);
-  auto work = [&](double a, double b) {
-    return integrate([&](double x) { return x * bp.pdf(x); }, a, b, 1e-10);
-  };
-  EXPECT_NEAR(work(bp.lower(), cuts[0]) / work(bp.lower(), bp.upper()), 0.5,
-              1e-3);
+  const double total = bp_work(bp, bp.min_value(), bp.max_value());
+  EXPECT_NEAR(bp_work(bp, bp.min_value(), cuts[0]) / total, 0.5, 1e-3);
 }
 
 TEST(Cluster, RoundRobinBalancesDispatchCounts) {
   Simulator sim;
-  BoundedPareto bp(1.5, 0.1, 100.0);
+  const BoundedParetoSampler bp(1.5, 0.1, 100.0);
   Cluster cluster(sim, 3, node_cfg(1), dedicated_factory(),
                   psd_factory(bp, {1.0}), AssignmentPolicy::kRoundRobin,
                   Rng(1));
@@ -136,7 +136,7 @@ TEST(Cluster, RoundRobinBalancesDispatchCounts) {
 
 TEST(Cluster, RandomRoughlyBalances) {
   Simulator sim;
-  BoundedPareto bp(1.5, 0.1, 100.0);
+  const BoundedParetoSampler bp(1.5, 0.1, 100.0);
   Cluster cluster(sim, 2, node_cfg(1), dedicated_factory(),
                   psd_factory(bp, {1.0}), AssignmentPolicy::kRandom, Rng(2));
   cluster.start(0.0);
@@ -151,7 +151,7 @@ TEST(Cluster, RandomRoughlyBalances) {
 
 TEST(Cluster, SizeIntervalRoutesBySize) {
   Simulator sim;
-  BoundedPareto bp(1.5, 0.1, 100.0);
+  const BoundedParetoSampler bp(1.5, 0.1, 100.0);
   Cluster cluster(sim, 2, node_cfg(1), dedicated_factory(),
                   psd_factory(bp, {1.0}), AssignmentPolicy::kSizeInterval,
                   Rng(3), {1.0});
@@ -170,7 +170,7 @@ TEST(Cluster, SizeIntervalRoutesBySize) {
 
 TEST(Cluster, SizeIntervalRequiresCutoffs) {
   Simulator sim;
-  BoundedPareto bp(1.5, 0.1, 100.0);
+  const BoundedParetoSampler bp(1.5, 0.1, 100.0);
   EXPECT_THROW(Cluster(sim, 3, node_cfg(1), dedicated_factory(),
                        psd_factory(bp, {1.0}),
                        AssignmentPolicy::kSizeInterval, Rng(1), {1.0}),
@@ -179,7 +179,7 @@ TEST(Cluster, SizeIntervalRequiresCutoffs) {
 
 TEST(Cluster, LeastWorkLeftPrefersIdleNode) {
   Simulator sim;
-  BoundedPareto bp(1.5, 0.1, 100.0);
+  const BoundedParetoSampler bp(1.5, 0.1, 100.0);
   Cluster cluster(sim, 2, node_cfg(1), dedicated_factory(),
                   psd_factory(bp, {1.0}), AssignmentPolicy::kLeastWorkLeft,
                   Rng(4));
@@ -201,7 +201,7 @@ TEST(Cluster, LeastWorkLeftPrefersIdleNode) {
 
 TEST(Cluster, OutstandingWorkDrainsOnCompletion) {
   Simulator sim;
-  BoundedPareto bp(1.5, 0.1, 100.0);
+  const BoundedParetoSampler bp(1.5, 0.1, 100.0);
   auto cfg = node_cfg(1);
   cfg.metrics.warmup_end = 0.0;  // count the single early completion
   Cluster cluster(sim, 1, cfg, dedicated_factory(),
@@ -222,7 +222,7 @@ TEST(Cluster, EndToEndPsdOnEveryNode) {
   // Two classes, four nodes, round robin: the cluster-wide slowdown ratio
   // still honours the deltas because every node runs eq. 17 locally.
   Simulator sim;
-  BoundedPareto bp(1.5, 0.1, 100.0);
+  const BoundedParetoSampler bp(1.5, 0.1, 100.0);
   const std::vector<double> delta = {1.0, 2.0};
   Cluster cluster(sim, 4, node_cfg(2), dedicated_factory(),
                   psd_factory(bp, delta), AssignmentPolicy::kRoundRobin,
@@ -234,8 +234,7 @@ TEST(Cluster, EndToEndPsdOnEveryNode) {
   std::vector<std::unique_ptr<RequestGenerator>> gens;
   for (ClassId c = 0; c < 2; ++c) {
     gens.push_back(std::make_unique<RequestGenerator>(
-        sim, Rng(70 + c), c, PoissonArrivals(lam[c]),
-        BoundedParetoSampler(bp), cluster));
+        sim, Rng(70 + c), c, PoissonArrivals(lam[c]), bp, cluster));
     gens.back()->start(0.0);
   }
   sim.run_until(30000.0);

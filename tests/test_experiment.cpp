@@ -5,6 +5,7 @@
 #include <cmath>
 #include <sstream>
 
+#include "dist/sampler.hpp"
 #include "experiment/figures.hpp"
 #include "experiment/runner.hpp"
 #include "experiment/table.hpp"
@@ -159,9 +160,9 @@ TEST(Scenario, TrueLambdasHitTargetUtilization) {
   auto cfg = tiny_cfg();
   cfg.load = 0.7;
   const auto lam = cfg.true_lambdas();
-  const auto dist = make_distribution(cfg.size_dist);
+  const SamplerVariant dist = make_sampler(cfg.size_dist);
   double rho = 0.0;
-  for (double l : lam) rho += l * dist->mean();
+  for (double l : lam) rho += l * dist.mean();
   EXPECT_NEAR(rho, 0.7, 1e-9);
 }
 

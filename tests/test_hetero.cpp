@@ -8,9 +8,6 @@
 #include "common/rng.hpp"
 #include "core/hetero_psd_allocator.hpp"
 #include "core/psd_allocation.hpp"
-#include "dist/bounded_pareto.hpp"
-#include "dist/deterministic.hpp"
-#include "dist/mixture.hpp"
 #include "dist/sampler.hpp"
 #include "stats/online.hpp"
 #include "workload/session.hpp"
@@ -18,11 +15,9 @@
 namespace psd {
 namespace {
 
-Mixture two_point_mixture() {
-  std::vector<Mixture::Component> comps;
-  comps.push_back({1.0, std::make_unique<Deterministic>(1.0)});
-  comps.push_back({3.0, std::make_unique<Deterministic>(2.0)});
-  return Mixture(std::move(comps));
+MixtureSampler two_point_mixture() {
+  return MixtureSampler(
+      {{1.0, DeterministicSampler(1.0)}, {3.0, DeterministicSampler(2.0)}});
 }
 
 TEST(Mixture, MomentsAreWeightedAverages) {
@@ -45,11 +40,8 @@ TEST(Mixture, SamplingMatchesWeights) {
 }
 
 TEST(Mixture, HeavyTailComponentDominatesSecondMoment) {
-  std::vector<Mixture::Component> comps;
-  comps.push_back({0.5, std::make_unique<Deterministic>(0.3)});
-  comps.push_back({0.5, std::make_unique<BoundedPareto>(1.5, 0.1, 100.0)});
-  Mixture m(std::move(comps));
-  BoundedPareto bp(1.5, 0.1, 100.0);
+  const BoundedParetoSampler bp(1.5, 0.1, 100.0);
+  const MixtureSampler m({{0.5, DeterministicSampler(0.3)}, {0.5, bp}});
   EXPECT_NEAR(m.second_moment(), 0.5 * 0.09 + 0.5 * bp.second_moment(), 1e-9);
   Rng rng(4);
   OnlineMoments inv;
@@ -58,27 +50,23 @@ TEST(Mixture, HeavyTailComponentDominatesSecondMoment) {
 }
 
 TEST(Mixture, RateScalingScalesComponents) {
-  // Lemma-2 scaling lives on the sealed mixture sampler.
-  std::vector<MixtureComponent> comps;
-  comps.push_back({1.0, DeterministicSampler(1.0)});
-  comps.push_back({3.0, DeterministicSampler(2.0)});
-  const MixtureSampler m{std::move(comps)};
+  const MixtureSampler m = two_point_mixture();
   const MixtureSampler s = m.scaled_by_rate(2.0);
   EXPECT_DOUBLE_EQ(s.mean(), m.mean() / 2.0);
   EXPECT_DOUBLE_EQ(s.mean_inverse(), 2.0 * m.mean_inverse());
 }
 
 TEST(Mixture, RejectsBadComponents) {
-  EXPECT_THROW(Mixture({}), std::invalid_argument);
-  std::vector<Mixture::Component> comps;
-  comps.push_back({0.0, std::make_unique<Deterministic>(1.0)});
-  EXPECT_THROW(Mixture(std::move(comps)), std::invalid_argument);
+  EXPECT_THROW(MixtureSampler(std::vector<MixtureComponent>{}),
+               std::invalid_argument);
+  EXPECT_THROW(MixtureSampler({{0.0, DeterministicSampler(1.0)}}),
+               std::invalid_argument);
 }
 
 // ---- heterogeneous allocation -------------------------------------------
 
 TEST(HeteroEq17, ReducesToHomogeneousWithIdenticalDistributions) {
-  BoundedPareto bp(1.5, 0.1, 100.0);
+  const BoundedParetoSampler bp(1.5, 0.1, 100.0);
   const std::vector<double> lambda = {0.8, 0.6};
   const std::vector<double> delta = {1.0, 2.0};
 
@@ -91,7 +79,7 @@ TEST(HeteroEq17, ReducesToHomogeneousWithIdenticalDistributions) {
   HeteroPsdInput het;
   het.lambda = lambda;
   het.delta = delta;
-  het.dist = {&bp, &bp};
+  het.dist = {bp, bp};
   het.min_residual_share = 0.0;
 
   const auto a = allocate_psd_rates(homo);
@@ -101,12 +89,12 @@ TEST(HeteroEq17, ReducesToHomogeneousWithIdenticalDistributions) {
 }
 
 TEST(HeteroEq17, RatesSumToCapacityAndExceedDemand) {
-  Deterministic d1(0.4);
-  BoundedPareto d2(1.5, 0.1, 100.0);
+  const DeterministicSampler d1(0.4);
+  const BoundedParetoSampler d2(1.5, 0.1, 100.0);
   HeteroPsdInput in;
   in.lambda = {0.5, 0.9};
   in.delta = {1.0, 2.0};
-  in.dist = {&d1, &d2};
+  in.dist = {d1, d2};
   in.min_residual_share = 0.0;
   const auto a = allocate_psd_rates_hetero(in);
   EXPECT_NEAR(std::accumulate(a.rate.begin(), a.rate.end(), 0.0), 1.0, 1e-12);
@@ -115,11 +103,11 @@ TEST(HeteroEq17, RatesSumToCapacityAndExceedDemand) {
 }
 
 TEST(HeteroEq17, PredictedSlowdownsHitDeltaRatios) {
-  Deterministic d1(0.4);
-  BoundedPareto d2(1.5, 0.1, 100.0);
+  const DeterministicSampler d1(0.4);
+  const BoundedParetoSampler d2(1.5, 0.1, 100.0);
   const std::vector<double> lambda = {0.5, 0.9};
   const std::vector<double> delta = {1.0, 3.0};
-  const std::vector<const SizeDistribution*> dist = {&d1, &d2};
+  const std::vector<SamplerVariant> dist = {d1, d2};
   const auto sd = expected_psd_slowdowns_hetero(lambda, delta, dist);
   EXPECT_NEAR(sd[1] / sd[0], 3.0, 1e-12);
 }
@@ -127,12 +115,12 @@ TEST(HeteroEq17, PredictedSlowdownsHitDeltaRatios) {
 TEST(HeteroEq17, Theorem1ConsistencyPerClass) {
   // Applying Theorem 1 to each class's own distribution at the hetero rates
   // must reproduce the predicted slowdowns (ignoring floors).
-  Deterministic d1(0.4);
-  BoundedPareto d2(1.5, 0.1, 100.0);
+  const DeterministicSampler d1(0.4);
+  const BoundedParetoSampler d2(1.5, 0.1, 100.0);
   HeteroPsdInput in;
   in.lambda = {0.5, 0.9};
   in.delta = {1.0, 3.0};
-  in.dist = {&d1, &d2};
+  in.dist = {d1, d2};
   in.min_residual_share = 0.0;
   const auto a = allocate_psd_rates_hetero(in);
   const auto sd = expected_psd_slowdowns_hetero(in.lambda, in.delta, in.dist);
@@ -143,11 +131,11 @@ TEST(HeteroEq17, Theorem1ConsistencyPerClass) {
 }
 
 TEST(HeteroEq17, OverloadClampWorks) {
-  Deterministic d1(1.0);
+  const DeterministicSampler d1(1.0);
   HeteroPsdInput in;
   in.lambda = {2.0};
   in.delta = {1.0};
-  in.dist = {&d1};
+  in.dist = {d1};
   in.overload = OverloadPolicy::kClamp;
   in.rho_max = 0.9;
   const auto a = allocate_psd_rates_hetero(in);
@@ -158,17 +146,15 @@ TEST(HeteroEq17, OverloadClampWorks) {
 }
 
 TEST(HeteroAllocator, RuntimeAdapterMatchesClosedForm) {
-  Deterministic d1(0.4);
-  BoundedPareto d2(1.5, 0.1, 100.0);
-  std::vector<SamplerVariant> samplers = {
-      DeterministicSampler(0.4), BoundedParetoSampler(1.5, 0.1, 100.0)};
-  HeteroPsdAllocator alloc({1.0, 2.0}, std::move(samplers), 1.0, 0.98, 0.0);
+  const DeterministicSampler d1(0.4);
+  const BoundedParetoSampler d2(1.5, 0.1, 100.0);
+  HeteroPsdAllocator alloc({1.0, 2.0}, {d1, d2}, 1.0, 0.98, 0.0);
   const std::vector<double> lam = {0.5, 0.9};
   const auto rates = alloc.allocate(lam);
   HeteroPsdInput in;
   in.lambda = lam;
   in.delta = {1.0, 2.0};
-  in.dist = {&d1, &d2};
+  in.dist = {d1, d2};
   in.min_residual_share = 0.0;
   const auto direct = allocate_psd_rates_hetero(in);
   EXPECT_NEAR(rates[0], direct.rate[0], 1e-12);

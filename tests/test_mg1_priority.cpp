@@ -6,9 +6,7 @@
 #include <memory>
 
 #include "baselines/pdd_policies.hpp"
-#include "dist/bounded_pareto.hpp"
-#include "dist/deterministic.hpp"
-#include "dist/exponential.hpp"
+#include "dist/sampler.hpp"
 #include "queueing/mg1.hpp"
 #include "queueing/mg1_priority.hpp"
 #include "sim/simulator.hpp"
@@ -19,9 +17,9 @@ namespace psd {
 namespace {
 
 TEST(Mg1Priority, SingleClassReducesToPlainMg1) {
-  BoundedPareto bp(1.5, 0.1, 100.0);
+  const BoundedParetoSampler bp(1.5, 0.1, 100.0);
   const double lam = 0.6 / bp.mean();
-  Mg1Priority prio({lam}, {&bp});
+  Mg1Priority prio({lam}, {bp});
   Mg1 plain(lam, bp);
   EXPECT_NEAR(prio.expected_wait(0), plain.expected_wait(), 1e-12);
   EXPECT_NEAR(prio.expected_slowdown(0), plain.expected_slowdown(), 1e-12);
@@ -31,8 +29,8 @@ TEST(Mg1Priority, TwoClassTextbookValues) {
   // M/D/1 with two equal classes, service 1, lambda 0.25 each (rho = 0.5).
   // R = (0.25 + 0.25) * 1 / 2 = 0.25.
   // W_1 = R / (1 * (1 - 0.25)) = 1/3; W_2 = R / (0.75 * 0.5) = 2/3.
-  Deterministic d(1.0);
-  Mg1Priority prio({0.25, 0.25}, {&d, &d});
+  const DeterministicSampler d(1.0);
+  Mg1Priority prio({0.25, 0.25}, {d, d});
   EXPECT_NEAR(prio.expected_wait(0), 1.0 / 3.0, 1e-12);
   EXPECT_NEAR(prio.expected_wait(1), 2.0 / 3.0, 1e-12);
 }
@@ -40,9 +38,9 @@ TEST(Mg1Priority, TwoClassTextbookValues) {
 TEST(Mg1Priority, ConservationLaw) {
   // Kleinrock's conservation: sum rho_i W_i is invariant and equals
   // rho * W_fcfs for any non-preemptive work-conserving discipline.
-  BoundedPareto bp(1.5, 0.1, 100.0);
+  const BoundedParetoSampler bp(1.5, 0.1, 100.0);
   const double lam = 0.35 / bp.mean();
-  Mg1Priority prio({lam, lam}, {&bp, &bp});
+  Mg1Priority prio({lam, lam}, {bp, bp});
   Mg1 fcfs(2.0 * lam, bp);
   const double rho_i = lam * bp.mean();
   const double lhs =
@@ -52,25 +50,25 @@ TEST(Mg1Priority, ConservationLaw) {
 }
 
 TEST(Mg1Priority, HigherClassAlwaysWaitsLess) {
-  BoundedPareto bp(1.5, 0.1, 100.0);
+  const BoundedParetoSampler bp(1.5, 0.1, 100.0);
   const double lam = 0.2 / bp.mean();
-  Mg1Priority prio({lam, lam, lam, lam}, {&bp, &bp, &bp, &bp});
+  Mg1Priority prio({lam, lam, lam, lam}, {bp, bp, bp, bp});
   for (std::size_t i = 1; i < 4; ++i) {
     EXPECT_GT(prio.expected_wait(i), prio.expected_wait(i - 1));
   }
 }
 
 TEST(Mg1Priority, UnstableLowerClassThrowsButHigherWorks) {
-  Deterministic d(1.0);
-  Mg1Priority prio({0.5, 0.7}, {&d, &d});  // total rho 1.2
+  const DeterministicSampler d(1.0);
+  Mg1Priority prio({0.5, 0.7}, {d, d});  // total rho 1.2
   EXPECT_GT(prio.expected_wait(0), 0.0);   // sigma_1 = 0.5 < 1: finite
   EXPECT_THROW(prio.expected_wait(1), std::domain_error);
   EXPECT_FALSE(prio.stable());
 }
 
 TEST(Mg1Priority, SlowdownUndefinedForExponential) {
-  Exponential e(1.0);
-  Mg1Priority prio({0.4}, {&e});
+  const ExponentialSampler e(1.0);
+  Mg1Priority prio({0.4}, {e});
   EXPECT_GT(prio.expected_wait(0), 0.0);
   EXPECT_THROW(prio.expected_slowdown(0), std::domain_error);
 }
@@ -80,9 +78,9 @@ TEST(Mg1Priority, RatiosAreLoadDeterminedNotControllable) {
   // delay-ratio between classes is fully determined by the loads — there is
   // no operator knob.  Doubling class-2 load changes the ratio; nothing the
   // operator configures can restore it.
-  Deterministic d(1.0);
-  Mg1Priority base({0.25, 0.25}, {&d, &d});
-  Mg1Priority shifted({0.25, 0.45}, {&d, &d});
+  const DeterministicSampler d(1.0);
+  Mg1Priority base({0.25, 0.25}, {d, d});
+  Mg1Priority shifted({0.25, 0.45}, {d, d});
   const double ratio_base = base.expected_wait(1) / base.expected_wait(0);
   const double ratio_shift =
       shifted.expected_wait(1) / shifted.expected_wait(0);
@@ -126,8 +124,8 @@ TEST(Mg1PrioritySim, StrictBackendMatchesCobham) {
   sim.run_until(400000.0);
   for (auto& g : gens) g->stop();
 
-  Deterministic d(1.0);
-  Mg1Priority prio({0.25, 0.25}, {&d, &d});
+  const DeterministicSampler d(1.0);
+  Mg1Priority prio({0.25, 0.25}, {d, d});
   ASSERT_GT(delay[0].count(), 50000u);
   EXPECT_NEAR(delay[0].mean() / prio.expected_wait(0), 1.0, 0.05);
   EXPECT_NEAR(delay[1].mean() / prio.expected_wait(1), 1.0, 0.05);

@@ -7,7 +7,7 @@
 #include <memory>
 
 #include "core/psd_rate_allocator.hpp"
-#include "dist/bounded_pareto.hpp"
+#include "dist/sampler.hpp"
 #include "sched/dedicated_rate.hpp"
 #include "server/server.hpp"
 #include "workload/class_spec.hpp"
@@ -20,7 +20,7 @@ struct Rig {
   Simulator sim;
   std::unique_ptr<Server> server;
   std::vector<std::unique_ptr<RequestGenerator>> gens;
-  BoundedPareto bp{1.5, 0.1, 100.0};
+  const BoundedParetoSampler bp{1.5, 0.1, 100.0};
 
   explicit Rig(std::vector<double> delta) {
     ServerConfig sc;
@@ -42,7 +42,7 @@ struct Rig {
                                   std::uint64_t seed) {
     gens.push_back(std::make_unique<RequestGenerator>(
         sim, Rng(seed), cls, PoissonArrivals(lambda),
-        BoundedParetoSampler(bp), *server));
+        bp, *server));
     return gens.back().get();
   }
 };

@@ -1,13 +1,11 @@
-// Exact percentiles, confidence intervals, batch means, reservoir sampling.
+// Exact percentiles and confidence intervals.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "common/rng.hpp"
-#include "stats/batch_means.hpp"
 #include "stats/ci.hpp"
 #include "stats/percentile.hpp"
-#include "stats/reservoir.hpp"
 
 namespace psd {
 namespace {
@@ -83,66 +81,6 @@ TEST(TQuantile, TableSanity) {
   EXPECT_NEAR(t_quantile_975(30), 2.042, 1e-9);
   EXPECT_NEAR(t_quantile_975(1000), 1.96, 1e-9);
   EXPECT_DOUBLE_EQ(t_quantile_975(0), 0.0);
-}
-
-TEST(BatchMeans, RequiresTwoBatches) {
-  EXPECT_THROW(batch_means({1.0, 2.0}, 1), std::invalid_argument);
-}
-
-TEST(BatchMeans, FallsBackOnTinyInput) {
-  const auto r = batch_means({1.0, 2.0, 3.0}, 10);
-  EXPECT_DOUBLE_EQ(r.mean, 2.0);
-  EXPECT_EQ(r.batches, 1u);
-}
-
-TEST(BatchMeans, MeanMatchesAndCIPositive) {
-  Rng rng(5);
-  std::vector<double> xs;
-  double sum = 0.0;
-  for (int i = 0; i < 2000; ++i) {
-    xs.push_back(rng.exponential(1.0));
-    sum += xs.back();
-  }
-  const auto r = batch_means(xs, 20);
-  EXPECT_EQ(r.batches, 20u);
-  EXPECT_EQ(r.per_batch, 100u);
-  EXPECT_NEAR(r.mean, sum / 2000.0, 1e-9);
-  EXPECT_GT(r.half_width, 0.0);
-  EXPECT_LT(r.half_width, 0.2);
-}
-
-TEST(Reservoir, KeepsAllWhenUnderCapacity) {
-  Rng rng(1);
-  ReservoirSample rs(10);
-  for (int i = 0; i < 5; ++i) rs.add(i, rng);
-  EXPECT_EQ(rs.values().size(), 5u);
-  EXPECT_EQ(rs.seen(), 5u);
-}
-
-TEST(Reservoir, CapacityBoundHolds) {
-  Rng rng(2);
-  ReservoirSample rs(100);
-  for (int i = 0; i < 10000; ++i) rs.add(i, rng);
-  EXPECT_EQ(rs.values().size(), 100u);
-  EXPECT_EQ(rs.seen(), 10000u);
-}
-
-TEST(Reservoir, SampleIsApproximatelyUniform) {
-  // Mean of a uniform stream 0..N-1 retained by the reservoir should stay
-  // near (N-1)/2.
-  Rng rng(3);
-  ReservoirSample rs(2000);
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) rs.add(i, rng);
-  double sum = 0.0;
-  for (double v : rs.values()) sum += v;
-  const double mean = sum / 2000.0;
-  EXPECT_NEAR(mean, (n - 1) / 2.0, 2500.0);
-  EXPECT_NEAR(rs.quantile(0.5), n / 2.0, 5000.0);
-}
-
-TEST(Reservoir, RejectsZeroCapacity) {
-  EXPECT_THROW(ReservoirSample(0), std::invalid_argument);
 }
 
 }  // namespace

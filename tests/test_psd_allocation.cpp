@@ -6,8 +6,7 @@
 #include <tuple>
 
 #include "core/psd_allocation.hpp"
-#include "dist/bounded_pareto.hpp"
-#include "dist/deterministic.hpp"
+#include "dist/sampler.hpp"
 #include "queueing/md1.hpp"
 #include "workload/class_spec.hpp"
 
@@ -15,7 +14,7 @@ namespace psd {
 namespace {
 
 PsdInput paper_input(std::vector<double> delta, double load,
-                     const BoundedPareto& bp) {
+                     const BoundedParetoSampler& bp) {
   PsdInput in;
   in.delta = delta;
   in.lambda = rates_for_equal_load(load, 1.0, bp.mean(), delta.size());
@@ -25,7 +24,7 @@ PsdInput paper_input(std::vector<double> delta, double load,
 }
 
 TEST(Eq17, RatesSumToCapacity) {
-  BoundedPareto bp(1.5, 0.1, 100.0);
+  const BoundedParetoSampler bp(1.5, 0.1, 100.0);
   for (double load : {0.1, 0.5, 0.9}) {
     const auto a = allocate_psd_rates(paper_input({1.0, 2.0}, load, bp));
     EXPECT_NEAR(a.rate[0] + a.rate[1], 1.0, 1e-12) << "load=" << load;
@@ -35,7 +34,7 @@ TEST(Eq17, RatesSumToCapacity) {
 }
 
 TEST(Eq17, EachClassGetsAtLeastItsDemand) {
-  BoundedPareto bp(1.5, 0.1, 100.0);
+  const BoundedParetoSampler bp(1.5, 0.1, 100.0);
   const auto in = paper_input({1.0, 2.0, 3.0}, 0.8, bp);
   const auto a = allocate_psd_rates(in);
   for (std::size_t i = 0; i < 3; ++i) {
@@ -45,7 +44,7 @@ TEST(Eq17, EachClassGetsAtLeastItsDemand) {
 
 TEST(Eq17, ClosedFormMatchesHandDerivation) {
   // r_i = lambda_i E[X] + (lambda_i/delta_i)/(sum lambda_j/delta_j) * (1-rho)
-  BoundedPareto bp(1.5, 0.1, 100.0);
+  const BoundedParetoSampler bp(1.5, 0.1, 100.0);
   const auto in = paper_input({1.0, 4.0}, 0.6, bp);
   const auto a = allocate_psd_rates(in);
   const double denom = in.lambda[0] / 1.0 + in.lambda[1] / 4.0;
@@ -59,20 +58,20 @@ TEST(Eq17, ClosedFormMatchesHandDerivation) {
 }
 
 TEST(Eq17, SingleClassGetsEverything) {
-  BoundedPareto bp(1.5, 0.1, 100.0);
+  const BoundedParetoSampler bp(1.5, 0.1, 100.0);
   const auto a = allocate_psd_rates(paper_input({1.0}, 0.5, bp));
   EXPECT_NEAR(a.rate[0], 1.0, 1e-12);
 }
 
 TEST(Eq17, EqualDeltasReduceToEqualResidualSplit) {
-  BoundedPareto bp(1.5, 0.1, 100.0);
+  const BoundedParetoSampler bp(1.5, 0.1, 100.0);
   const auto in = paper_input({2.0, 2.0}, 0.5, bp);
   const auto a = allocate_psd_rates(in);
   EXPECT_NEAR(a.rate[0], a.rate[1], 1e-12);  // equal lambdas + equal deltas
 }
 
 TEST(Eq17, GeneralizesToArbitraryCapacity) {
-  BoundedPareto bp(1.5, 0.1, 100.0);
+  const BoundedParetoSampler bp(1.5, 0.1, 100.0);
   auto in = paper_input({1.0, 2.0}, 0.5, bp);
   // Doubling capacity and lambdas scales all rates by 2.
   auto in2 = in;
@@ -85,7 +84,7 @@ TEST(Eq17, GeneralizesToArbitraryCapacity) {
 }
 
 TEST(Eq18, AchievesTargetRatiosExactly) {
-  BoundedPareto bp(1.5, 0.1, 100.0);
+  const BoundedParetoSampler bp(1.5, 0.1, 100.0);
   for (double d2 : {2.0, 4.0, 8.0}) {
     const auto lam = rates_for_equal_load(0.7, 1.0, bp.mean(), 2);
     const auto sd = expected_psd_slowdowns(lam, {1.0, d2}, bp);
@@ -95,7 +94,7 @@ TEST(Eq18, AchievesTargetRatiosExactly) {
 
 TEST(Eq18, EqualsTheorem1AppliedToEq17Rates) {
   // The consistency identity the whole paper rests on.
-  BoundedPareto bp(1.5, 0.1, 100.0);
+  const BoundedParetoSampler bp(1.5, 0.1, 100.0);
   for (double load : {0.2, 0.5, 0.8}) {
     const auto in = paper_input({1.0, 2.0, 3.0}, load, bp);
     const auto a = allocate_psd_rates(in);
@@ -111,7 +110,7 @@ TEST(Eq18, EqualsTheorem1AppliedToEq17Rates) {
 TEST(Eq18, Md1SpecialCaseViaDeterministicDistribution) {
   // eq. 15 consistency: with X == c the generic machinery must reproduce
   // rho_i / (2 (1 - rho_i)) on each task server.
-  Deterministic d(0.5);
+  const DeterministicSampler d(0.5);
   const std::vector<double> delta = {1.0, 2.0};
   const auto lam = rates_for_equal_load(0.6, 1.0, d.mean(), 2);
   PsdInput in;
@@ -129,7 +128,7 @@ TEST(Eq18, Md1SpecialCaseViaDeterministicDistribution) {
 }
 
 TEST(Eq18, SystemSlowdownIsLambdaWeighted) {
-  BoundedPareto bp(1.5, 0.1, 100.0);
+  const BoundedParetoSampler bp(1.5, 0.1, 100.0);
   const std::vector<double> lam = {0.3, 0.9};
   const std::vector<double> delta = {1.0, 2.0};
   const auto sd = expected_psd_slowdowns(lam, delta, bp);
@@ -138,7 +137,7 @@ TEST(Eq18, SystemSlowdownIsLambdaWeighted) {
 }
 
 TEST(Overload, ThrowPolicy) {
-  BoundedPareto bp(1.5, 0.1, 100.0);
+  const BoundedParetoSampler bp(1.5, 0.1, 100.0);
   PsdInput in = paper_input({1.0, 2.0}, 0.9, bp);
   for (auto& l : in.lambda) l *= 2.0;  // rho = 1.8
   in.overload = OverloadPolicy::kThrow;
@@ -147,7 +146,7 @@ TEST(Overload, ThrowPolicy) {
 }
 
 TEST(Overload, ClampPreservesMixAndFeasibility) {
-  BoundedPareto bp(1.5, 0.1, 100.0);
+  const BoundedParetoSampler bp(1.5, 0.1, 100.0);
   PsdInput in = paper_input({1.0, 2.0}, 0.9, bp);
   in.lambda[0] *= 3.0;  // asymmetric overload
   in.overload = OverloadPolicy::kClamp;
@@ -160,7 +159,7 @@ TEST(Overload, ClampPreservesMixAndFeasibility) {
 }
 
 TEST(Floor, ZeroLambdaClassKeepsTrickleRate) {
-  BoundedPareto bp(1.5, 0.1, 100.0);
+  const BoundedParetoSampler bp(1.5, 0.1, 100.0);
   PsdInput in = paper_input({1.0, 2.0}, 0.5, bp);
   in.lambda[1] = 0.0;  // estimator saw nothing for class 1
   in.min_residual_share = 1e-3;
@@ -170,7 +169,7 @@ TEST(Floor, ZeroLambdaClassKeepsTrickleRate) {
 }
 
 TEST(Floor, AllZeroLambdasSplitEvenly) {
-  BoundedPareto bp(1.5, 0.1, 100.0);
+  const BoundedParetoSampler bp(1.5, 0.1, 100.0);
   PsdInput in = paper_input({1.0, 2.0}, 0.5, bp);
   in.lambda = {0.0, 0.0};
   const auto a = allocate_psd_rates(in);
@@ -179,7 +178,7 @@ TEST(Floor, AllZeroLambdasSplitEvenly) {
 }
 
 TEST(Validation, RejectsMalformedInputs) {
-  BoundedPareto bp(1.5, 0.1, 100.0);
+  const BoundedParetoSampler bp(1.5, 0.1, 100.0);
   PsdInput in = paper_input({1.0, 2.0}, 0.5, bp);
   auto bad = in;
   bad.delta = {1.0};
@@ -198,7 +197,7 @@ TEST(Validation, RejectsMalformedInputs) {
 }
 
 TEST(Eq18, UnstableInputThrows) {
-  BoundedPareto bp(1.5, 0.1, 100.0);
+  const BoundedParetoSampler bp(1.5, 0.1, 100.0);
   const auto lam = rates_for_equal_load(0.99, 1.0, bp.mean(), 2);
   std::vector<double> heavy = {lam[0] * 3, lam[1] * 3};
   EXPECT_THROW(expected_psd_slowdowns(heavy, {1.0, 2.0}, bp),

@@ -7,7 +7,7 @@
 #include <tuple>
 
 #include "core/psd_allocation.hpp"
-#include "dist/bounded_pareto.hpp"
+#include "dist/sampler.hpp"
 #include "workload/class_spec.hpp"
 
 namespace psd {
@@ -17,7 +17,7 @@ using Grid = std::tuple<double, double>;  // (load, delta2)
 
 class PsdPropertyGrid : public ::testing::TestWithParam<Grid> {
  protected:
-  BoundedPareto bp_{1.5, 0.1, 100.0};
+  const BoundedParetoSampler bp_{1.5, 0.1, 100.0};
 
   std::vector<double> lambdas() const {
     const auto [load, d2] = GetParam();
@@ -97,7 +97,7 @@ TEST_P(PsdPropertyGrid, AllocationInvariantUnderDeltaRescaling) {
 
 TEST_P(PsdPropertyGrid, SlowdownDependsOnDistOnlyThroughThreeMoments) {
   // eq. 18 factorizes: doubling E[X^2]E[1/X] doubles every slowdown.
-  BoundedPareto wide(1.5, 0.1, 1000.0);  // heavier tail
+  const BoundedParetoSampler wide(1.5, 0.1, 1000.0);  // heavier tail
   const auto sd_narrow = expected_psd_slowdowns(lambdas(), deltas(), bp_);
   // Rescale lambdas so utilization matches under the wider distribution.
   const auto [load, d2] = GetParam();
@@ -120,7 +120,7 @@ INSTANTIATE_TEST_SUITE_P(
 class ThreeClassGrid : public ::testing::TestWithParam<double> {};
 
 TEST_P(ThreeClassGrid, PairwiseRatiosAllPinned) {
-  BoundedPareto bp(1.5, 0.1, 100.0);
+  const BoundedParetoSampler bp(1.5, 0.1, 100.0);
   const double load = GetParam();
   const std::vector<double> delta = {1.0, 2.0, 3.0};
   const auto lam = rates_for_equal_load(load, 1.0, bp.mean(), 3);
@@ -132,7 +132,7 @@ TEST_P(ThreeClassGrid, PairwiseRatiosAllPinned) {
 
 TEST_P(ThreeClassGrid, RatesMonotoneInPriorityGivenEqualLoads) {
   // With equal lambdas, the higher class (smaller delta) gets more rate.
-  BoundedPareto bp(1.5, 0.1, 100.0);
+  const BoundedParetoSampler bp(1.5, 0.1, 100.0);
   PsdInput in;
   in.delta = {1.0, 2.0, 3.0};
   in.lambda = rates_for_equal_load(GetParam(), 1.0, bp.mean(), 3);
@@ -149,7 +149,7 @@ INSTANTIATE_TEST_SUITE_P(Loads, ThreeClassGrid,
 // ---- unequal load mixes -------------------------------------------------
 
 TEST(UnequalMix, RatiosHoldUnderSkewedShares) {
-  BoundedPareto bp(1.5, 0.1, 100.0);
+  const BoundedParetoSampler bp(1.5, 0.1, 100.0);
   const std::vector<double> delta = {1.0, 2.0};
   for (double hi_share : {0.1, 0.3, 0.7, 0.9}) {
     const auto lam =
@@ -162,7 +162,7 @@ TEST(UnequalMix, RatiosHoldUnderSkewedShares) {
 TEST(UnequalMix, LoadConcentrationRaisesAbsoluteSlowdowns) {
   // eq. 18: E[S_i] ∝ sum(lambda_j/delta_j); shifting load into the higher
   // class (delta 1) increases that sum and thus all slowdowns.
-  BoundedPareto bp(1.5, 0.1, 100.0);
+  const BoundedParetoSampler bp(1.5, 0.1, 100.0);
   const std::vector<double> delta = {1.0, 2.0};
   const auto balanced = expected_psd_slowdowns(
       rates_for_load(0.6, 1.0, bp.mean(), {0.5, 0.5}), delta, bp);

@@ -1,34 +1,17 @@
 // Analytic queueing layer: Pollaczek–Khinchin (Lemma 1), Theorem-1 scaling,
-// M/D/1 eq. 15, M/M/1 textbook values, cross-model consistency.
+// M/D/1 eq. 15, M/G/1 against textbook M/M/1 values, cross-model
+// consistency.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "dist/bounded_pareto.hpp"
-#include "dist/deterministic.hpp"
-#include "dist/exponential.hpp"
+#include "dist/sampler.hpp"
 #include "queueing/mg1_priority.hpp"
 #include "queueing/md1.hpp"
 #include "queueing/mg1.hpp"
-#include "queueing/mm1.hpp"
 
 namespace psd {
 namespace {
-
-TEST(Mm1, TextbookValues) {
-  Mm1 q(0.5, 1.0);
-  EXPECT_DOUBLE_EQ(q.utilization(), 0.5);
-  EXPECT_DOUBLE_EQ(q.expected_wait(), 1.0);
-  EXPECT_DOUBLE_EQ(q.expected_response(), 2.0);
-  EXPECT_DOUBLE_EQ(q.expected_queue_length(), 0.5);
-  EXPECT_TRUE(q.stable());
-}
-
-TEST(Mm1, UnstableThrows) {
-  Mm1 q(2.0, 1.0);
-  EXPECT_FALSE(q.stable());
-  EXPECT_THROW(q.expected_wait(), std::domain_error);
-}
 
 TEST(Md1, Equation15IsLoadOnly) {
   // eq. 15: E[S] = rho/(2(1-rho)) regardless of the constant c.
@@ -53,16 +36,18 @@ TEST(Md1, RateParameterActsLikeCapacity) {
 }
 
 TEST(Mg1, MatchesMm1ForExponentialService) {
-  // P-K with E[X^2] = 2 m^2 must reproduce M/M/1 exactly.
-  Exponential ex(1.0);
-  Mg1 g(0.5, ex);
-  Mm1 m(0.5, 1.0);
-  EXPECT_NEAR(g.expected_wait(), m.expected_wait(), 1e-12);
-  EXPECT_NEAR(g.expected_response(), m.expected_response(), 1e-12);
+  // P-K with E[X^2] = 2 m^2 must reproduce the textbook M/M/1 values at
+  // lambda = 0.5, mu = 1: rho = 0.5, E[W] = rho / (mu - lambda) = 1,
+  // E[T] = 1 / (mu - lambda) = 2.
+  Mg1 g(0.5, ExponentialSampler(1.0));
+  EXPECT_TRUE(g.stable());
+  EXPECT_NEAR(g.utilization(), 0.5, 1e-12);
+  EXPECT_NEAR(g.expected_wait(), 1.0, 1e-12);
+  EXPECT_NEAR(g.expected_response(), 2.0, 1e-12);
 }
 
 TEST(Mg1, MatchesMd1ForDeterministicService) {
-  Deterministic d(1.0);
+  const DeterministicSampler d(1.0);
   Mg1 g(0.5, d);
   Md1 m(0.5, 1.0);
   EXPECT_NEAR(g.expected_wait(), m.expected_wait(), 1e-12);
@@ -71,7 +56,7 @@ TEST(Mg1, MatchesMd1ForDeterministicService) {
 
 TEST(Mg1, Lemma1SlowdownFactorization) {
   // E[S] = E[W] * E[1/X] for the Bounded Pareto (Lemma 1).
-  BoundedPareto bp(1.5, 0.1, 100.0);
+  const BoundedParetoSampler bp(1.5, 0.1, 100.0);
   const double lam = 0.5 / bp.mean();
   Mg1 g(lam, bp);
   EXPECT_NEAR(g.expected_slowdown(), g.expected_wait() * bp.mean_inverse(),
@@ -80,7 +65,7 @@ TEST(Mg1, Lemma1SlowdownFactorization) {
 
 TEST(Mg1, Theorem1ClosedForm) {
   // E[S_i] = lambda E[X^2] E[1/X] / (2 (r - lambda E[X])).
-  BoundedPareto bp(1.5, 0.1, 100.0);
+  const BoundedParetoSampler bp(1.5, 0.1, 100.0);
   for (double r : {0.3, 0.5, 1.0}) {
     const double lam = 0.4 * r / bp.mean();  // rho = 0.4 at this rate
     Mg1 g(lam, bp, r);
@@ -92,18 +77,18 @@ TEST(Mg1, Theorem1ClosedForm) {
 
 TEST(Mg1, Theorem1EqualsLemma1OnScaledDistribution) {
   // Serving X at rate r == serving X/r at rate 1 (Lemma 2 consistency).
-  BoundedPareto bp(1.5, 0.1, 100.0);
+  const BoundedParetoSampler bp(1.5, 0.1, 100.0);
   const double r = 0.37;
   const double lam = 0.6 * r / bp.mean();
   Mg1 direct(lam, bp, r);
-  const BoundedPareto scaled = bp.scaled_by_rate(r);
+  const BoundedParetoSampler scaled = bp.scaled_by_rate(r);
   Mg1 unit(lam, scaled, 1.0);
   EXPECT_NEAR(direct.expected_wait(), unit.expected_wait(), 1e-10);
   EXPECT_NEAR(direct.expected_slowdown(), unit.expected_slowdown(), 1e-10);
 }
 
 TEST(Mg1, SlowdownDivergesAsRhoApproachesOne) {
-  BoundedPareto bp(1.5, 0.1, 100.0);
+  const BoundedParetoSampler bp(1.5, 0.1, 100.0);
   double prev = 0.0;
   for (double rho : {0.5, 0.9, 0.99, 0.999}) {
     Mg1 g(rho / bp.mean(), bp);
@@ -115,7 +100,7 @@ TEST(Mg1, SlowdownDivergesAsRhoApproachesOne) {
 }
 
 TEST(Mg1, UnstableThrowsButUtilizationReadable) {
-  BoundedPareto bp(1.5, 0.1, 100.0);
+  const BoundedParetoSampler bp(1.5, 0.1, 100.0);
   Mg1 g(2.0 / bp.mean(), bp);
   EXPECT_FALSE(g.stable());
   EXPECT_NEAR(g.utilization(), 2.0, 1e-12);
@@ -124,7 +109,7 @@ TEST(Mg1, UnstableThrowsButUtilizationReadable) {
 }
 
 TEST(Mg1, MetricsBundleConsistent) {
-  BoundedPareto bp(1.5, 0.1, 100.0);
+  const BoundedParetoSampler bp(1.5, 0.1, 100.0);
   Mg1 g(0.5 / bp.mean(), bp);
   const auto m = g.metrics();
   EXPECT_DOUBLE_EQ(m.utilization, g.utilization());
@@ -135,7 +120,7 @@ TEST(Mg1, MetricsBundleConsistent) {
 }
 
 TEST(Mg1, RejectsNonPositiveInputs) {
-  BoundedPareto bp(1.5, 0.1, 100.0);
+  const BoundedParetoSampler bp(1.5, 0.1, 100.0);
   EXPECT_THROW(Mg1(0.0, bp), std::invalid_argument);
   EXPECT_THROW(Mg1(1.0, bp, 0.0), std::invalid_argument);
 }
@@ -143,20 +128,20 @@ TEST(Mg1, RejectsNonPositiveInputs) {
 TEST(Mg1SecondMoments, TakacsMatchesMm1ClosedForm) {
   // M/M/1 wait: P(W=0)=1-rho plus an exponential tail, so
   // E[W^2] = 2 rho / (mu - lambda)^2.  Takacs must reproduce it.
-  Exponential ex(1.0);
+  const ExponentialSampler ex(1.0);
   const double lam = 0.5;
   Mg1 g(lam, ex, 1.0, /*E[X^3]=*/6.0);
   EXPECT_NEAR(g.wait_second_moment(), 2.0 * 0.5 / 0.25, 1e-12);
 }
 
 TEST(Mg1SecondMoments, RequiresThirdMoment) {
-  BoundedPareto bp(1.5, 0.1, 100.0);
+  const BoundedParetoSampler bp(1.5, 0.1, 100.0);
   Mg1 g(0.5 / bp.mean(), bp);  // third moment not supplied
   EXPECT_THROW(g.wait_second_moment(), std::domain_error);
 }
 
 TEST(Mg1SecondMoments, BoundedParetoViaMomentFunction) {
-  BoundedPareto bp(1.5, 0.1, 100.0);
+  const BoundedParetoSampler bp(1.5, 0.1, 100.0);
   const double lam = 0.5 / bp.mean();
   Mg1 g(lam, bp, 1.0, bp.moment(3.0));
   const double ew = g.expected_wait();
@@ -171,7 +156,7 @@ TEST(Mg1SecondMoments, SlowdownCvGrowsWithUpperBound) {
   // Fig.-12/Fig.-5 connection: a heavier tail widens the slowdown spread.
   double prev = 0.0;
   for (double p : {100.0, 1000.0, 10000.0}) {
-    BoundedPareto bp(1.5, 0.1, p);
+    const BoundedParetoSampler bp(1.5, 0.1, p);
     Mg1 g(0.5 / bp.mean(), bp, 1.0, bp.moment(3.0));
     const double cv = g.slowdown_cv(bp.moment(-2.0));
     EXPECT_GT(cv, prev) << "p=" << p;
@@ -180,7 +165,7 @@ TEST(Mg1SecondMoments, SlowdownCvGrowsWithUpperBound) {
 }
 
 TEST(Mg1SecondMoments, VarianceNonNegativeAcrossLoads) {
-  BoundedPareto bp(1.5, 0.1, 100.0);
+  const BoundedParetoSampler bp(1.5, 0.1, 100.0);
   for (double rho : {0.1, 0.5, 0.9}) {
     Mg1 g(rho / bp.mean(), bp, 1.0, bp.moment(3.0));
     EXPECT_GE(g.slowdown_variance(bp.moment(-2.0)), 0.0) << rho;
@@ -190,7 +175,7 @@ TEST(Mg1SecondMoments, VarianceNonNegativeAcrossLoads) {
 TEST(Mg1, ExponentialSlowdownUndefinedButDelayWorks) {
   // Paper §5: E[1/X] diverges under unbounded exponential service, so the
   // slowdown is undefined — yet delay/response metrics must remain usable.
-  Exponential ex(1.0);
+  const ExponentialSampler ex(1.0);
   Mg1 g(0.5, ex);
   EXPECT_NEAR(g.expected_wait(), 1.0, 1e-12);
   EXPECT_THROW(g.expected_slowdown(), std::domain_error);

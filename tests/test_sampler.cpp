@@ -1,28 +1,21 @@
 // The sealed sampler layer: ziggurat exactness, alias-table correctness,
-// cached inverse transforms vs the legacy samplers, value-copy determinism,
-// and — the tentpole property — zero heap allocations per sample on the
-// steady-state path.
+// cached inverse transforms vs their textbook formulas, value-copy
+// determinism, and zero heap allocations per sample on the steady-state
+// path.
 //
 // Like tests/test_event_core.cpp, this binary overrides global operator
 // new/delete with a counting hook armed only inside explicit regions.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <new>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "dist/alias_table.hpp"
-#include "dist/bounded_exponential.hpp"
-#include "dist/bounded_pareto.hpp"
-#include "dist/deterministic.hpp"
-#include "dist/empirical.hpp"
-#include "dist/exponential.hpp"
-#include "dist/lognormal.hpp"
-#include "dist/pareto.hpp"
 #include "dist/sampler.hpp"
-#include "dist/uniform.hpp"
 #include "dist/ziggurat.hpp"
 #include "stats/online.hpp"
 #include "workload/arrival.hpp"
@@ -145,11 +138,10 @@ TEST(Ziggurat, RateScalingGivesRequestedMean) {
   EXPECT_NEAR(m.mean(), 0.25, 0.005);
 }
 
-TEST(ZigguratSampler, MatchesLegacyExponentialMoments) {
-  const Exponential legacy(2.0);
+TEST(ZigguratSampler, MatchesExponentialMoments) {
   const ExponentialSampler fast(2.0);
-  EXPECT_DOUBLE_EQ(fast.mean(), legacy.mean());
-  EXPECT_DOUBLE_EQ(fast.second_moment(), legacy.second_moment());
+  EXPECT_DOUBLE_EQ(fast.mean(), 2.0);
+  EXPECT_DOUBLE_EQ(fast.second_moment(), 8.0);
   EXPECT_THROW(fast.mean_inverse(), std::domain_error);
   Rng rng(104);
   OnlineMoments m;
@@ -188,49 +180,6 @@ TEST(AliasTable, RejectsDegenerateWeights) {
   EXPECT_THROW(AliasTable({1.0, -1.0}), std::invalid_argument);
 }
 
-// ---- empirical sampler -----------------------------------------------------
-
-TEST(EmpiricalSampler, UniformWeightsMatchLegacyMoments) {
-  const std::vector<double> values = {1.0, 2.0, 4.0};
-  const Empirical legacy(values);
-  const EmpiricalSampler fast(values);
-  EXPECT_DOUBLE_EQ(fast.mean(), legacy.mean());
-  EXPECT_DOUBLE_EQ(fast.second_moment(), legacy.second_moment());
-  EXPECT_DOUBLE_EQ(fast.mean_inverse(), legacy.mean_inverse());
-  EXPECT_DOUBLE_EQ(fast.min_value(), 1.0);
-  EXPECT_DOUBLE_EQ(fast.max_value(), 4.0);
-  Rng rng(107);
-  for (int i = 0; i < 1000; ++i) {
-    const double x = fast.sample(rng);
-    EXPECT_TRUE(x == 1.0 || x == 2.0 || x == 4.0);
-  }
-}
-
-TEST(EmpiricalSampler, WeightedResamplingMatchesWeights) {
-  const EmpiricalSampler e({1.0, 2.0, 4.0}, {1.0, 1.0, 2.0});
-  // Weighted moments: (1 + 2 + 2*4) / 4.
-  EXPECT_DOUBLE_EQ(e.mean(), 11.0 / 4.0);
-  EXPECT_DOUBLE_EQ(e.mean_inverse(), (1.0 + 0.5 + 2.0 * 0.25) / 4.0);
-  Rng rng(108);
-  int fours = 0;
-  const int n = 200000;
-  for (int i = 0; i < n; ++i) fours += (e.sample(rng) == 4.0);
-  EXPECT_NEAR(fours / static_cast<double>(n), 0.5, 0.01);
-}
-
-TEST(EmpiricalSampler, SampleMomentsConvergeToTableMoments) {
-  const EmpiricalSampler e({0.5, 1.5, 2.5, 8.0}, {4.0, 2.0, 1.0, 1.0});
-  Rng rng(109);
-  OnlineMoments m, inv;
-  for (int i = 0; i < 300000; ++i) {
-    const double x = e.sample(rng);
-    m.add(x);
-    inv.add(1.0 / x);
-  }
-  EXPECT_NEAR(m.mean() / e.mean(), 1.0, 0.02);
-  EXPECT_NEAR(inv.mean() / e.mean_inverse(), 1.0, 0.02);
-}
-
 // ---- mixture sampler -------------------------------------------------------
 
 TEST(MixtureSampler, MomentsAndPickFrequencies) {
@@ -248,69 +197,56 @@ TEST(MixtureSampler, MomentsAndPickFrequencies) {
   EXPECT_NEAR(ones / static_cast<double>(n), 0.25, 0.01);
 }
 
-// ---- cached inverse transforms vs legacy -----------------------------------
+// ---- cached inverse transforms vs their formulas ---------------------------
 
-TEST(BoundedParetoSampler, MatchesLegacyInverseTransformOnSameStream) {
-  // Same uniform stream through both implementations: the cached fast paths
-  // (reciprocal / rsqrt / rcbrt for alpha 1, 2, 1.5) must agree with the
-  // legacy pow() inverse CDF to floating-point rounding.
+TEST(BoundedParetoSampler, MatchesPowInverseTransformOnSameStream) {
+  // The same uniform stream through the sampler and the textbook pow()
+  // inverse CDF x = k (1 - u (1 - (k/p)^alpha))^{-1/alpha}: the cached fast
+  // paths (reciprocal / rsqrt / rcbrt for alpha 1, 2, 1.5) must agree to
+  // floating-point rounding.
+  const double k = 0.1, p = 100.0;
   for (double alpha : {1.0, 1.5, 2.0, 2.7}) {
-    const BoundedPareto legacy(alpha, 0.1, 100.0);
-    const BoundedParetoSampler fast(alpha, 0.1, 100.0);
-    EXPECT_DOUBLE_EQ(fast.mean(), legacy.mean());
-    EXPECT_DOUBLE_EQ(fast.second_moment(), legacy.second_moment());
-    EXPECT_DOUBLE_EQ(fast.mean_inverse(), legacy.mean_inverse());
+    const BoundedParetoSampler fast(alpha, k, p);
     Rng ra(111), rb(111);
     for (int i = 0; i < 20000; ++i) {
-      const double a = legacy.sample(ra);
+      const double u = ra.uniform01();
+      const double a = k * std::pow(1.0 - u * (1.0 - std::pow(k / p, alpha)),
+                                    -1.0 / alpha);
       const double b = fast.sample(rb);
       EXPECT_NEAR(b, a, 1e-12 * a) << "alpha=" << alpha << " i=" << i;
     }
   }
 }
 
-TEST(BoundedExponentialSampler, BitIdenticalToLegacyOnSameStream) {
-  const BoundedExponential legacy(1.0, 0.1, 10.0);
-  const BoundedExponentialSampler fast(1.0, 0.1, 10.0);
-  EXPECT_DOUBLE_EQ(fast.mean(), legacy.mean());
-  EXPECT_DOUBLE_EQ(fast.mean_inverse(), legacy.mean_inverse());
+TEST(BoundedExponentialSampler, BitIdenticalToInverseCdfOnSameStream) {
+  // x = -m log(e^{-lo/m} - u Z), Z = e^{-lo/m} - e^{-hi/m}.
+  const double m = 1.0, lo = 0.1, hi = 10.0;
+  const BoundedExponentialSampler fast(m, lo, hi);
+  const double z = std::exp(-lo / m) - std::exp(-hi / m);
   Rng ra(112), rb(112);
   for (int i = 0; i < 20000; ++i) {
-    EXPECT_DOUBLE_EQ(fast.sample(rb), legacy.sample(ra)) << "i=" << i;
+    const double u = ra.uniform01();
+    EXPECT_DOUBLE_EQ(fast.sample(rb), -m * std::log(std::exp(-lo / m) - u * z))
+        << "i=" << i;
   }
 }
 
-// ---- legacy/sampler moment agreement ---------------------------------------
+// ---- support bounds --------------------------------------------------------
 
-TEST(SamplerVariant, MomentsMatchLegacyClassesExactly) {
-  // The sealed samplers and the analysis-side ABC classes must stay two
-  // views of the SAME law: eq. 17/18 uses the ABC moments while simulation
-  // draws through the variant, so any formula drift desynchronizes the
-  // allocator from the traffic it is allocating for.
-  const auto expect_same = [](const SizeDistribution& legacy,
-                              const SamplerVariant& fast) {
-    EXPECT_DOUBLE_EQ(fast.mean(), legacy.mean()) << legacy.name();
-    EXPECT_DOUBLE_EQ(fast.second_moment(), legacy.second_moment())
-        << legacy.name();
-    EXPECT_DOUBLE_EQ(fast.min_value(), legacy.min_value()) << legacy.name();
-    EXPECT_DOUBLE_EQ(fast.max_value(), legacy.max_value()) << legacy.name();
-    try {
-      const double legacy_inv = legacy.mean_inverse();
-      EXPECT_DOUBLE_EQ(fast.mean_inverse(), legacy_inv) << legacy.name();
-    } catch (const std::domain_error&) {
-      EXPECT_THROW(fast.mean_inverse(), std::domain_error) << legacy.name();
-    }
+TEST(SamplerVariant, SupportBoundsPerKind) {
+  // [min_value, max_value] is each law's support; a positive infimum is what
+  // keeps E[1/X] finite, and an infinite supremum is the unbounded tail.
+  const auto expect_support = [](const SamplerVariant& s, double lo,
+                                 double hi) {
+    EXPECT_EQ(s.min_value(), lo) << s.name();
+    EXPECT_EQ(s.max_value(), hi) << s.name();
   };
-  expect_same(BoundedPareto(1.5, 0.1, 100.0),
-              BoundedParetoSampler(1.5, 0.1, 100.0));
-  expect_same(Exponential(2.0), ExponentialSampler(2.0));
-  expect_same(BoundedExponential(1.0, 0.1, 10.0),
-              BoundedExponentialSampler(1.0, 0.1, 10.0));
-  expect_same(Lognormal(0.3, 0.8), LognormalSampler(0.3, 0.8));
-  expect_same(UniformSize(1.0, 3.0), UniformSampler(1.0, 3.0));
-  expect_same(Pareto(1.5, 0.5), ParetoSampler(1.5, 0.5));
-  expect_same(Deterministic(2.5), DeterministicSampler(2.5));
-  expect_same(Empirical({1.0, 2.0, 4.0}), EmpiricalSampler({1.0, 2.0, 4.0}));
+  expect_support(BoundedParetoSampler(1.5, 0.1, 100.0), 0.1, 100.0);
+  expect_support(ExponentialSampler(2.0), 0.0, kInf);
+  expect_support(BoundedExponentialSampler(1.0, 0.1, 10.0), 0.1, 10.0);
+  expect_support(LognormalSampler(0.3, 0.8), 0.0, kInf);
+  expect_support(UniformSampler(1.0, 3.0), 1.0, 3.0);
+  expect_support(DeterministicSampler(2.5), 2.5, 2.5);
 }
 
 // ---- determinism across copies --------------------------------------------
@@ -322,9 +258,7 @@ TEST(SamplerVariant, CopiesReproduceFixedSeedStreams) {
       BoundedExponentialSampler(1.0, 0.1, 10.0),
       LognormalSampler(0.0, 1.0),
       UniformSampler(1.0, 3.0),
-      ParetoSampler(1.5, 0.5),
       DeterministicSampler(2.0),
-      EmpiricalSampler({1.0, 2.0, 4.0}, {1.0, 2.0, 3.0}),
       MixtureSampler({{1.0, DeterministicSampler(1.0)},
                       {1.0, BoundedParetoSampler(1.5, 0.1, 100.0)}}),
   };
@@ -367,9 +301,7 @@ TEST(SamplerVariant, ScaledByRateTransformsMomentsForEveryKind) {
       BoundedExponentialSampler(1.0, 0.1, 10.0),
       LognormalSampler(0.0, 1.0),
       UniformSampler(1.0, 3.0),
-      ParetoSampler(1.5, 0.5),
       DeterministicSampler(2.0),
-      EmpiricalSampler({1.0, 2.0, 4.0}),
       MixtureSampler({{1.0, DeterministicSampler(1.0)},
                       {3.0, DeterministicSampler(2.0)}}),
   };
@@ -393,17 +325,15 @@ TEST(SamplerVariant, ScaledByRateTransformsMomentsForEveryKind) {
 // ---- allocation freedom ----------------------------------------------------
 
 TEST(SamplerVariant, SteadyStateSamplingIsAllocationFree) {
-  // Every alternative — including the shared-table Empirical and Mixture —
-  // must draw without touching the heap.
+  // Every alternative — including the shared-table Mixture — must draw
+  // without touching the heap.
   std::vector<SamplerVariant> samplers = {
       BoundedParetoSampler(1.5, 0.1, 100.0),
       ExponentialSampler(1.0),
       BoundedExponentialSampler(1.0, 0.1, 10.0),
       LognormalSampler(0.0, 1.0),
       UniformSampler(1.0, 3.0),
-      ParetoSampler(1.5, 0.5),
       DeterministicSampler(2.0),
-      EmpiricalSampler({1.0, 2.0, 4.0}, {1.0, 2.0, 3.0}),
       MixtureSampler({{1.0, DeterministicSampler(1.0)},
                       {1.0, BoundedParetoSampler(1.5, 0.1, 100.0)}}),
   };
@@ -429,10 +359,9 @@ TEST(SamplerVariant, SteadyStateSamplingIsAllocationFree) {
 }
 
 TEST(SamplerVariant, CopiesAreAllocationFree) {
-  // Copy = memcpy for parametric samplers, refcount bump for table-backed
-  // ones: either way the heap is never touched.
+  // Copy = memcpy for parametric samplers, refcount bump for the mixture's
+  // shared table: either way the heap is never touched.
   const SamplerVariant bp = BoundedParetoSampler(1.5, 0.1, 100.0);
-  const SamplerVariant emp = EmpiricalSampler({1.0, 2.0, 4.0});
   const SamplerVariant mix =
       MixtureSampler({{1.0, DeterministicSampler(1.0)},
                       {1.0, BoundedParetoSampler(1.5, 0.1, 100.0)}});
@@ -442,9 +371,8 @@ TEST(SamplerVariant, CopiesAreAllocationFree) {
     AllocationCounter counter;
     for (int i = 0; i < 1000; ++i) {
       const SamplerVariant a = bp;
-      const SamplerVariant b = emp;
-      const SamplerVariant c = mix;
-      sink = sink + a.sample(rng) + b.sample(rng) + c.sample(rng);
+      const SamplerVariant b = mix;
+      sink = sink + a.sample(rng) + b.sample(rng);
     }
     EXPECT_EQ(counter.count(), 0u);
   }

@@ -5,7 +5,7 @@
 
 #include "baselines/static_allocators.hpp"
 #include "core/psd_rate_allocator.hpp"
-#include "dist/bounded_pareto.hpp"
+#include "dist/sampler.hpp"
 #include "sched/dedicated_rate.hpp"
 #include "server/server.hpp"
 #include "workload/generator.hpp"
@@ -75,7 +75,7 @@ TEST(Server, ReallocRequiresAllocator) {
 
 TEST(Server, PeriodicReallocationUpdatesRates) {
   Simulator sim;
-  BoundedPareto bp(1.5, 0.1, 100.0);
+  const BoundedParetoSampler bp(1.5, 0.1, 100.0);
   PsdAllocatorConfig pc;
   pc.delta = {1.0, 2.0};
   pc.mean_size = bp.mean();
@@ -88,8 +88,7 @@ TEST(Server, PeriodicReallocationUpdatesRates) {
   // the cold-start equal split.
   std::vector<std::unique_ptr<RequestGenerator>> gens;
   gens.push_back(std::make_unique<RequestGenerator>(
-      sim, Rng(3), 0, PoissonArrivals(1.0),
-      BoundedParetoSampler(bp), server));
+      sim, Rng(3), 0, PoissonArrivals(1.0), bp, server));
   gens[0]->start(0.0);
   sim.run_until(1000.0);
   EXPECT_GE(server.reallocations(), 9u);

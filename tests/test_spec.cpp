@@ -125,6 +125,11 @@ TEST(SpecRegistry, AcceptsHistoricalSpellings) {
 TEST(SpecRegistry, RejectsMalformedInput) {
   EXPECT_THROW(spec::parse<DistSpec>("pareto:1.5"), std::invalid_argument);
   EXPECT_THROW(spec::parse<DistSpec>("bp:1.5"), std::invalid_argument);
+  // Well-formed but outside the law's domain: rejected at parse time.
+  EXPECT_THROW(spec::parse<DistSpec>("bp:1.5,100,0.1"), std::invalid_argument);
+  EXPECT_THROW(spec::parse<DistSpec>("bexp:1,0,10"), std::invalid_argument);
+  EXPECT_THROW(spec::parse<DistSpec>("uniform:0,1"), std::invalid_argument);
+  EXPECT_THROW(spec::parse<DistSpec>("det:0"), std::invalid_argument);
   EXPECT_THROW(spec::parse<ArrivalSpec>("mmpp:0.5"), std::invalid_argument);
   EXPECT_THROW(spec::parse<ArrivalSpec>("burst"), std::invalid_argument);
   EXPECT_THROW(spec::parse<LoadProfile>("ramp:1,2"), std::invalid_argument);

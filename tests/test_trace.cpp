@@ -4,7 +4,7 @@
 #include <memory>
 #include <sstream>
 
-#include "dist/bounded_pareto.hpp"
+#include "dist/sampler.hpp"
 #include "experiment/runner.hpp"
 #include "workload/generator.hpp"
 #include "workload/trace.hpp"

@@ -7,7 +7,7 @@ namespace psd {
 namespace {
 
 TEST(Umbrella, PublicTypesAreVisible) {
-  BoundedPareto bp(1.5, 0.1, 100.0);
+  const BoundedParetoSampler bp(1.5, 0.1, 100.0);
   EXPECT_GT(bp.mean(), 0.0);
 
   Mg1 mg1(0.5 / bp.mean(), bp);

@@ -33,6 +33,15 @@ struct CliError : std::runtime_error {
   throw CliError(what + ", got '" + got + "' (hint: " + hint + ")");
 }
 
+/// Rejects a flag that was given without the partner it acts through: such
+/// a flag would parse and then change nothing.
+inline void require_partner(bool given, const std::string& flag,
+                            bool partner_given, const std::string& partner) {
+  if (given && !partner_given) {
+    throw CliError(flag + " has no effect without " + partner);
+  }
+}
+
 /// Strict double: the whole token must parse (no trailing junk).
 inline double parse_double(const std::string& opt, const std::string& s,
                            const std::string& hint) {

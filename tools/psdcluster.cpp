@@ -76,6 +76,7 @@ int main(int argc, char** argv) {
   double check_tol = -1.0;
 
   try {
+    bool kill_node_given = false;
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
       auto value = [&]() -> std::string {
@@ -107,10 +108,11 @@ int main(int argc, char** argv) {
       } else if (arg == "--rebalance-ms")
         cfg.rebalance_period =
             cli::parse_double(arg, value(), "--rebalance-ms 50") * 1e-3;
-      else if (arg == "--kill-node")
+      else if (arg == "--kill-node") {
         cfg.kill_node = static_cast<std::size_t>(
             cli::parse_uint(arg, value(), "--kill-node 3"));
-      else if (arg == "--kill-at")
+        kill_node_given = true;
+      } else if (arg == "--kill-at")
         cfg.kill_at = cli::parse_double(arg, value(), "--kill-at 1.5");
       else if (arg == "--stats-out") cfg.stats_path = value();
       else if (arg == "--check")
@@ -121,6 +123,8 @@ int main(int argc, char** argv) {
         usage(2);
       }
     }
+    cli::require_partner(kill_node_given, "--kill-node", cfg.kill_at >= 0.0,
+                         "--kill-at");
   } catch (const cli::CliError& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 2;

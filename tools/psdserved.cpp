@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <set>
 #include <sstream>
 #include <string>
 
@@ -62,7 +63,7 @@ options:
   --pin                   pin threads to cores (best effort)
   --replay-trace FILE     drive arrivals from a recorded trace (see psdsim
                           --record-trace) instead of synthetic generators
-  --trace-scale F         seconds per recorded time unit
+  --trace-scale F         seconds per recorded time unit; needs --replay-trace
                           (default mean-service-us / E[X]: replay a simulator
                           trace at the runtime's native speed)
   --check-ratio-tol F     exit 1 unless max achieved-vs-target slowdown
@@ -87,14 +88,15 @@ observability (src/obs; all imply --telemetry):
                           trace-event JSON (schema psd.rt.trace.v1; open in
                           chrome://tracing or Perfetto)
   --trace-sample N        trace every Nth request per class, power of two
-                          (default 64; 1 = every request)
+                          (default 64; 1 = every request); needs
+                          --trace-out or --slo
   --slo RULES             SLO watchdog rules, e.g. "ratio_err>0.5,goodput<1e4"
                           (metrics: ratio_err goodput shed_rate settle; ops
                           > <; evaluated once per stats interval, armed
                           after warmup); breach dumps a flight-recorder
                           bundle (schema psd.rt.flight.v1)
   --slo-dump PREFIX       flight bundle path prefix (default psd-flight;
-                          files are PREFIX-t<time>.json)
+                          files are PREFIX-t<time>.json); needs --slo
   --help                  this text
 )";
 
@@ -115,8 +117,10 @@ int main(int argc, char** argv) {
   double check_shed_skew = -1.0;
 
   try {
+    std::set<std::string> given;
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
+      given.insert(arg);
       auto value = [&]() -> std::string {
         if (i + 1 >= argc) {
           throw cli::CliError(arg + " needs a value (see --help)");
@@ -150,6 +154,12 @@ int main(int argc, char** argv) {
         usage(2);
       }
     }
+    cli::require_partner(given.count("--trace-scale"), "--trace-scale",
+                         !replay_path.empty(), "--replay-trace");
+    cli::require_partner(given.count("--slo-dump"), "--slo-dump",
+                         !cfg.obs.slo_rules.empty(), "--slo");
+    cli::require_partner(given.count("--trace-sample"), "--trace-sample",
+                         cfg.obs.tracing(), "--trace-out or --slo");
   } catch (const cli::CliError& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 2;

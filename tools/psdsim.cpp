@@ -8,6 +8,7 @@
 // Prints per-class simulated and eq.-18 expected slowdowns, achieved ratios,
 // and the windowed ratio percentiles — the numbers a capacity planner or a
 // reviewer wants first.  For grids of scenarios, see psdsweep.
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -373,17 +374,25 @@ int main(int argc, char** argv) {
     const SamplerVariant dist = make_sampler(cfg.size_dist);
     const auto lambdas = cfg.true_lambdas();
 
+    // E[1/X] diverges for the unbounded exponential: print it as inf.
+    double mean_inv = kInf;
+    try {
+      mean_inv = dist.mean_inverse();
+    } catch (const std::domain_error&) {
+    }
     std::cout << "service-time distribution: " << dist.name()
               << "  (E[X]=" << Table::fmt(dist.mean(), 4)
               << ", E[X^2]=" << Table::fmt(dist.second_moment(), 4)
-              << ", E[1/X]=" << Table::fmt(dist.mean_inverse(), 4) << ")\n";
+              << ", E[1/X]=" << Table::fmt(mean_inv, 4) << ")\n";
 
-    // Eq. 17/18 closed forms exist only under capacity; a deliberately
-    // overloaded run (admission active, load >= 1) has no feasible
-    // allocation to predict, so the expected columns go NaN.
+    // Eq. 17/18 predictions need load < 1 (a deliberately overloaded run,
+    // admission active at load >= 1, has no feasible allocation) and a
+    // finite E[1/X].  Without both the expected columns stay NaN, as
+    // aggregate_replications leaves them.
     const bool feasible = cfg.load < 1.0;
+    const bool predictable = feasible && std::isfinite(mean_inv);
     std::vector<double> expected(cfg.delta.size(), kNaN);
-    if (feasible) {
+    if (predictable) {
       expected = expected_psd_slowdowns(lambdas, cfg.delta, dist);
     }
 
@@ -391,6 +400,11 @@ int main(int argc, char** argv) {
       if (!feasible) {
         std::cerr << "error: --analytic needs load < 1 (eq. 17/18 are "
                      "undefined beyond capacity)\n";
+        return 2;
+      }
+      if (!predictable) {
+        std::cerr << "error: --analytic needs a finite E[1/X], which "
+                  << dist.name() << " does not have (eq. 18 is undefined)\n";
         return 2;
       }
       PsdInput in;
