@@ -14,8 +14,8 @@
 // kernel's event ordering, src/sim/lane_stepper.hpp).
 //
 // kBatch must match RequestGenerator::kBatch — a divergence would change
-// refill boundaries and thus draw order; the lockstep equivalence tests
-// pin this (they compare results bitwise against the generator path).
+// refill boundaries and thus draw order; lockstep.cpp static_asserts the
+// equality.
 #pragma once
 
 #include <cstdint>

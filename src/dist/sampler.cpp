@@ -80,6 +80,45 @@ double BoundedParetoSampler::moment(double n) const {
   return g * (std::pow(p_, d) - std::pow(k_, d)) / d;
 }
 
+void BoundedParetoSampler::sample_n(Rng& rng, double* out,
+                                    std::size_t n) const {
+  // Locals, so the stores into `out` cannot alias the parameters.
+  const double k = k_;
+  const double one_minus_kp = one_minus_kp_;
+  constexpr std::size_t kBlock = 64;
+  double seed[kBlock];
+  for (std::size_t base = 0; base < n; base += kBlock) {
+    const std::size_t m = std::min(kBlock, n - base);
+    double* t = out + base;
+    // Pass 1: the block's uniforms in stream order, as sample()'s t.
+    for (std::size_t i = 0; i < m; ++i) {
+      t[i] = 1.0 - rng.uniform01() * one_minus_kp;
+    }
+    switch (pow_) {
+      case Pow::kInv:
+        for (std::size_t i = 0; i < m; ++i) t[i] = k / t[i];
+        break;
+      case Pow::kInvSqrt:
+        for (std::size_t i = 0; i < m; ++i) t[i] = k / std::sqrt(t[i]);
+        break;
+      case Pow::kInvCbrtSq:
+        // Pass 2: the integer seeds (a 64-bit division by 3 each).
+        for (std::size_t i = 0; i < m; ++i) seed[i] = detail::rcbrt_seed(t[i]);
+        // Pass 3: Newton steps and k y^2, no RNG and no integer ops.
+        for (std::size_t i = 0; i < m; ++i) {
+          const double y = detail::rcbrt_refine(t[i], seed[i]);
+          t[i] = k * y * y;
+        }
+        break;
+      case Pow::kGeneral:
+        for (std::size_t i = 0; i < m; ++i) {
+          t[i] = k * std::pow(t[i], neg_inv_alpha_);
+        }
+        break;
+    }
+  }
+}
+
 BoundedParetoSampler BoundedParetoSampler::scaled_by_rate(double rate) const {
   PSD_REQUIRE(rate > 0.0, "rate must be positive");
   // X/r ~ BP(alpha, k/r, p/r).

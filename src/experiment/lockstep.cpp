@@ -11,18 +11,22 @@
 // dedicated-rate server's classes are independent: rates only change at
 // ticks (or, under kFinishAtOldRate, to the tick-published pending value),
 // and every other piece of state — queue, slot, draw block, metrics
-// accumulators — is per-class.  The kernel exploits that:
+// accumulators — is per-class.  So between ticks each class is the paper's
+// FCFS task server at a constant rate, and the kernel exploits that:
 //
-//   1. drain_class() bursts one (lane, class) pair through all its events
-//      strictly before the chunk boundary in a register-resident two-clock
-//      loop: no 5-slot scan, all indexing hoisted out of the loop, queued
-//      requests stored as compact {id, arrival, size} entries.
+//   1. drain_class() walks one (lane, class) pair's requests in FCFS order
+//      by Lindley's recursion, D_k = max(A_k, D_{k-1}) + S_k / rate,
+//      recording each departure strictly before the chunk boundary.  There
+//      is no event selection at all: one max, one add, one divide and the
+//      metric accumulation per request, every accumulator in a register,
+//      and the ring touched only by requests still waiting at the boundary.
 //   2. generic_drain() — the 5-slot first-minimum scan — then handles the
 //      reallocation tick and any events tied exactly at the boundary
 //      (cascades included), in full per-task slot order.
 //
-// Bitwise identity is preserved because per-class event order is exactly
-// the per-task order projected onto that class, and cross-class event order
+// Bitwise identity is preserved because the walk performs the per-task
+// path's floating-point operations in its per-class order (the per-task
+// event order projected onto that class), and cross-class event order
 // only ever influences the request-record vector — so when request
 // recording is on, step_lane() takes the generic scan for the whole run.
 //
@@ -55,8 +59,13 @@
 #include "server/metrics.hpp"
 #include "sim/lane_stepper.hpp"
 #include "stats/online.hpp"
+#include "workload/generator.hpp"
 
 namespace psd {
+
+// Equal block lengths put the kernel's refills on the generator's draw
+// boundaries, so each (lane, class) stream consumes its Rng identically.
+static_assert(LaneDrawBlocks::kBatch == RequestGenerator::kBatch);
 
 bool lockstep_eligible(const ScenarioConfig& cfg) {
   // Admission gates hook Server::submit (shed bookkeeping the kernel's
@@ -363,10 +372,17 @@ class LockstepKernel {
   }
 
   /// Burst-drain one (lane, class) pair's events with fire time strictly
-  /// before `T` (the chunk boundary = next tick time).  The projected
-  /// per-class event order equals the per-task order: within a class,
-  /// events sort by time with arrivals beating completions at ties (slot
-  /// 1+c < slot 1+n+c), and no state this loop touches is shared across
+  /// before `T` (the chunk boundary = next tick time) by Lindley's
+  /// recursion.  Between ticks the class is a FCFS server at a constant
+  /// rate, so in FCFS order — the request in service, then the ring, then
+  /// new arrivals before T — request k starts at max(A_k, D_{k-1}) and
+  /// departs at start + S_k / rate.  Each departure before T is recorded in
+  /// that order; the first one at T or later stays in service and every
+  /// later arrival before T queues.  This is the per-task event order
+  /// projected onto the class (arrivals beat completions at equal times,
+  /// so an arrival at D_{k-1} queues and starts at D_{k-1} = max(A_k,
+  /// D_{k-1}) either way), with the same floating-point operations in the
+  /// same per-class order: no state this loop touches is shared across
   /// classes.  Events tied exactly at T are left to generic_drain, which
   /// fires them after the tick in full slot order.
   void drain_class(std::size_t l, std::size_t c, Time T) {
@@ -377,13 +393,7 @@ class LockstepKernel {
 
     Lane& lane = lanes_[l];
     Lane::Slot& slot = lane.slots[c];
-    bool busy = slot.busy;
-    RequestId cur_id = slot.current.id;
-    Time cur_arrival = slot.current.arrival;
-    Work cur_size = slot.current.size;
-    Time cur_sstart = slot.current.service_start;
-    Work remaining = slot.remaining;
-    Time last_settle = slot.last_settle;
+    Ring& ring = lane.queues[c];
     // Between ticks the class rate is constant except for the one-shot
     // pending-rate adoption a completion performs under kFinishAtOldRate.
     double rate = lane.rates[c];
@@ -393,9 +403,9 @@ class LockstepKernel {
     std::uint32_t cursor = blocks_.cursor(l, c);
     const double* gaps = blocks_.gap_slice(l, c);
     const double* sizes = blocks_.size_slice(l, c);
-    std::uint64_t gen = lane.gen_count[c];
-    std::uint64_t arrivals_seen = 0;
-    std::uint64_t est_count = 0;
+    const std::uint64_t gen0 = lane.gen_count[c];
+    std::uint64_t gen = gen0;
+    const RequestId id_hi = static_cast<RequestId>(c) << 48;
 
     MeanStat sd_stat = lane.m_slowdown[c];
     MeanStat dl_stat = lane.m_delay[c];
@@ -407,101 +417,98 @@ class LockstepKernel {
     double win_max = series.max;
     const Time warmup_end = sc_.metrics.warmup_end;
 
-    Ring& ring = lane.queues[c];
-    const RequestId id_hi = static_cast<RequestId>(c) << 48;
-    const bool est_on = realloc_on_;
-
-    for (;;) {
-      if (arr_t <= comp_t) {  // arrival wins ties (slot order)
-        if (!(arr_t < T)) break;
-        const Time t = arr_t;
-        const double size = sizes[cursor];
-        ++cursor;
-        const RequestId id = id_hi | gen;
-        ++gen;
-        ++arrivals_seen;
-        if (est_on) ++est_count;
-        if (busy) {
-          ring.push({id, t, size});
-        } else {
-          cur_id = id;
-          cur_arrival = t;
-          cur_size = size;
-          cur_sstart = t;
-          remaining = size;
-          last_settle = t;
-          busy = true;
-          comp_t = t + remaining / std::max(rate, kMinRate);
-        }
-        if (cursor == LaneDrawBlocks::kBatch) {
-          blocks_.refill(l, c, lane.arrivals[c], dist_, lane.gen_rng[c]);
-          cursor = 0;
-        }
-        arr_t = t + gaps[cursor];
-      } else {  // completion
-        if (!(comp_t < T)) break;
-        const Time t = comp_t;
-        const Duration service_elapsed = t - cur_sstart;
-        busy = false;
-        remaining = 0.0;
-        if (fin) rate = pending_c;
-        // MetricsCollector::on_complete, register-resident.
-        if (t >= warmup_end) {
-          const Duration delay = cur_sstart - cur_arrival;
-          const double sd = delay / service_elapsed;
-          sd_stat.add(sd);
-          dl_stat.add(delay);
-          Time tt = t;
-          if (tt < win_start) tt = win_start;
-          while (tt >= win_start + win_len) {  // IntervalSeries::roll_to
-            IntervalStat s;
-            s.start = win_start;
-            s.count = win_count;
-            s.mean = win_count
-                         ? win_sum / static_cast<double>(win_count)
-                         : 0.0;
-            s.max = win_count ? win_max : 0.0;
-            series.windows.push_back(s);
-            win_start += win_len;
-            win_count = 0;
-            win_sum = 0.0;
-            win_max = 0.0;
-          }
-          ++win_count;
-          win_sum += sd;
-          win_max = std::max(win_max, sd);
-        }
-        if (!ring.empty()) {
-          const QEntry e = ring.pop_front();
-          cur_id = e.id;
-          cur_arrival = e.arrival;
-          cur_size = e.size;
-          cur_sstart = t;
-          remaining = e.size;
-          last_settle = t;
-          busy = true;
-          comp_t = t + remaining / std::max(rate, kMinRate);
-        } else {
-          comp_t = kInf;
-        }
+    // RequestGenerator::arrive: the next arrival with its size, and the
+    // arrival clock advanced by the next buffered gap.
+    const auto next_arrival = [&]() -> QEntry {
+      const QEntry e{id_hi | gen, arr_t, sizes[cursor]};
+      ++gen;
+      ++cursor;
+      if (cursor == LaneDrawBlocks::kBatch) {
+        blocks_.refill(l, c, lane.arrivals[c], dist_, lane.gen_rng[c]);
+        cursor = 0;
       }
-    }
+      arr_t = e.arrival + gaps[cursor];
+      return e;
+    };
+    // DedicatedRateBackend::complete + MetricsCollector::on_complete,
+    // register-resident.
+    const auto finish = [&](Time t, Time start, Time arrival) {
+      const Duration service_elapsed = t - start;
+      if (fin) rate = pending_c;
+      if (t >= warmup_end) {
+        const Duration delay = start - arrival;
+        const double sd = delay / service_elapsed;
+        sd_stat.add(sd);
+        dl_stat.add(delay);
+        Time tt = t;
+        if (tt < win_start) tt = win_start;
+        while (tt >= win_start + win_len) {  // IntervalSeries::roll_to
+          IntervalStat s;
+          s.start = win_start;
+          s.count = win_count;
+          s.mean = win_count
+                       ? win_sum / static_cast<double>(win_count)
+                       : 0.0;
+          s.max = win_count ? win_max : 0.0;
+          series.windows.push_back(s);
+          win_start += win_len;
+          win_count = 0;
+          win_sum = 0.0;
+          win_max = 0.0;
+        }
+        ++win_count;
+        win_sum += sd;
+        win_max = std::max(win_max, sd);
+      }
+    };
 
+    // D_{k-1}: the previous departure (-inf while the server is idle, so
+    // an arrival starts at its own time).
+    Time D = -kInf;
+    // One Lindley step: serve `e` after D.  Returns true when it departs at
+    // or after T — it is then the request in service at the boundary.
+    const auto serve = [&](const QEntry& e) -> bool {
+      const Time start = std::max(e.arrival, D);
+      const Time done = start + e.size / std::max(rate, kMinRate);
+      if (!(done < T)) {
+        slot.current.id = e.id;
+        slot.current.cls = static_cast<ClassId>(c);
+        slot.current.arrival = e.arrival;
+        slot.current.size = e.size;
+        slot.current.service_start = start;
+        slot.remaining = e.size;
+        slot.last_settle = start;
+        comp_t = done;
+        return true;
+      }
+      finish(done, start, e.arrival);
+      D = done;
+      return false;
+    };
+
+    bool busy = slot.busy;
+    if (busy && comp_t < T) {
+      finish(comp_t, slot.current.service_start, slot.current.arrival);
+      D = comp_t;
+      busy = false;
+      while (!busy && !ring.empty()) busy = serve(ring.pop_front());
+    }
+    while (!busy && arr_t < T) busy = serve(next_arrival());
+    // The server is busy past T: the remaining arrivals before T queue.
+    while (arr_t < T) ring.push(next_arrival());
+
+    if (!busy) {
+      slot.remaining = 0.0;
+      comp_t = kInf;
+    }
+    slot.busy = busy;
     clocks[1 + c] = arr_t;
     clocks[1 + n_ + c] = comp_t;
-    slot.busy = busy;
-    slot.current.id = cur_id;
-    slot.current.cls = static_cast<ClassId>(c);
-    slot.current.arrival = cur_arrival;
-    slot.current.size = cur_size;
-    slot.current.service_start = cur_sstart;
-    slot.remaining = remaining;
-    slot.last_settle = last_settle;
     lane.rates[c] = rate;
     blocks_.cursor(l, c) = cursor;
     lane.gen_count[c] = gen;
-    lane.submitted += arrivals_seen;
-    lane.est_arrivals[c] += est_count;
+    lane.submitted += gen - gen0;
+    if (realloc_on_) lane.est_arrivals[c] += gen - gen0;
     lane.m_slowdown[c] = sd_stat;
     lane.m_delay[c] = dl_stat;
     series.current_start = win_start;

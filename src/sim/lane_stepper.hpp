@@ -22,10 +22,11 @@
 // processes slots while fire_time <= chunk_limit and feeds the same draws
 // through the same arithmetic therefore produces bitwise-identical results
 // to the per-task path — the determinism contract the lockstep tests pin.
-// (The kernel's hot path actually burst-drains each class's arrival/
-// completion slot pair strictly below the boundary — legal because classes
-// are independent between ticks — and uses this scan for the tick and
-// boundary ties; see lockstep.cpp.)
+// (The kernel's hot path skips the scan strictly below the boundary: there
+// classes are independent FCFS servers at constant rates, so it walks each
+// class's requests by Lindley's recursion and reads only its arrival and
+// completion slots; this scan fires the tick and the boundary ties.  See
+// lockstep.cpp.)
 //
 // SFQ lanes: the layout is [0] tick, [1 .. S] arrivals, [S+1] the shared
 // processor's completion.  Both the tick and that completion are heap

@@ -42,10 +42,10 @@ class RequestGenerator {
   std::uint64_t generated() const { return count_; }
   ClassId cls() const { return cls_; }
 
- private:
   /// One variant dispatch refills kBatch gaps, one refills kBatch sizes.
   static constexpr std::size_t kBatch = 64;
 
+ private:
   Time arrive(Time now);
   double next_gap();
 

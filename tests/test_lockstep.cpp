@@ -7,6 +7,8 @@
 
 #include <cmath>
 #include <cstring>
+#include <string>
+#include <vector>
 
 #include "experiment/lockstep.hpp"
 #include "experiment/runner.hpp"
@@ -151,7 +153,8 @@ TEST_P(LockstepBitwise, RequestRecordingWindow) {
 // at k * 1001 tu, and the two classes always arrive together.  This runs
 // the tie paths under the equality check; it does not tell the tie orders
 // apart (swapping tick-vs-completion or heap-vs-arrival order gives the
-// same results here).
+// same results here).  Lockstep.CompletionTiedWithRateChangingTick does,
+// on the dedicated backend.
 TEST_P(LockstepBitwise, ExactTimeTies) {
   ScenarioConfig c = cfg();
   c.arrivals = ArrivalKind::kDeterministic;
@@ -161,6 +164,25 @@ TEST_P(LockstepBitwise, ExactTimeTies) {
   c.warmup_tu = 4000.0;
   c.measure_tu = 36000.0;
   check(c, 0, 2);
+}
+
+// A reallocation period of 7 tu at load 0.95: most chunks end with a deep
+// queue, so requests carried over on the ring start service in a later
+// burst — after the tick has rescaled the class rate or deferred the new
+// one — and their service state (start, settle point) must match the
+// per-task path under both rate-change policies.
+TEST_P(LockstepBitwise, ShortReallocPeriodDeepQueues) {
+  ScenarioConfig c = cfg();
+  c.load = 0.95;
+  c.delta = {1.0, 4.0};
+  c.realloc_tu = 7.0;
+  c.window_tu = 7.0;
+  for (const auto policy : {RateChangePolicy::kRescaleRemaining,
+                            RateChangePolicy::kFinishAtOldRate}) {
+    SCOPED_TRACE(rate_change_name(policy));
+    c.rate_change = policy;
+    check(c, 0, 3);
+  }
 }
 
 TEST_P(LockstepBitwise, RaggedTailAggregatesIdentically) {
@@ -208,6 +230,48 @@ TEST(Lockstep, IneligibleBackendFallsBackToPerTask) {
   cfg.backend = BackendKind::kLottery;
   EXPECT_FALSE(lockstep_eligible(cfg));
   check_lanes_match_per_task(cfg, 0, 2);
+}
+
+// A completion lands exactly on a tick while a request waits, and the
+// tick changes the class rate.  Sizes are det:1 and arrivals deterministic,
+// so every time below is exact.  In per-task order the tick fires first:
+// under kFinishAtOldRate the completion then adopts the tick's new rate for
+// the waiting request, where a burst that ran the completion before the
+// tick would serve it at the previous pending rate.  Two geometries:
+//  * load 0.75 split 8:1 (class 0 every 1.5 tu, class 1 every 12 tu),
+//    ticks every 7.5 tu: at the initial rate 0.5 class 0 departs at
+//    1.5 + 2k, so a departure computed inside the first burst lands on the
+//    first tick while the arrival from 6 tu waits; the loadprop allocator
+//    moves class 0 from 0.5 to ~1 there.
+//  * load 19/21 split 12:7 (every 1.75 and 3 tu), ticks every tu: the
+//    request already in service when a burst starts departs on the next
+//    tick (first at 9 tu) while an arrival from that chunk waits, and
+//    class-0 arrivals land on ticks (every 7 tu).
+// No warmup, so the first requests count.
+TEST(Lockstep, CompletionTiedWithRateChangingTick) {
+  struct Geometry {
+    double load;
+    std::vector<double> share;
+    double realloc_tu;
+  };
+  for (const Geometry& g :
+       {Geometry{0.75, {8.0 / 9.0, 1.0 / 9.0}, 7.5},
+        Geometry{19.0 / 21.0, {12.0 / 19.0, 7.0 / 19.0}, 1.0}}) {
+    SCOPED_TRACE("realloc_tu " + std::to_string(g.realloc_tu));
+    ScenarioConfig c = base_cfg();
+    c.backend = BackendKind::kDedicated;
+    c.rate_change = RateChangePolicy::kFinishAtOldRate;
+    c.allocator = AllocatorKind::kLoadProportional;
+    c.arrivals = ArrivalKind::kDeterministic;
+    c.size_dist = DistSpec::deterministic(1.0);
+    c.load = g.load;
+    c.load_share = g.share;
+    c.realloc_tu = g.realloc_tu;
+    c.warmup_tu = 0.0;
+    c.measure_tu = 300.0;
+    ASSERT_TRUE(lockstep_eligible(c));
+    check_lanes_match_per_task(c, 0, 2);
+  }
 }
 
 GridSpec small_grid() {

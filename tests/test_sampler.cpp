@@ -10,7 +10,9 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <new>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -272,13 +274,32 @@ TEST(SamplerVariant, CopiesReproduceFixedSeedStreams) {
   }
 }
 
+// Exact-bit double comparison (EXPECT_DOUBLE_EQ would allow 4 ulps).
+void expect_bits(double a, double b, const char* what) {
+  std::uint64_t ba, bb;
+  std::memcpy(&ba, &a, sizeof(ba));
+  std::memcpy(&bb, &b, sizeof(bb));
+  EXPECT_EQ(ba, bb) << what << ": " << a << " vs " << b;
+}
+
+// The batch draw feeds every generator and lockstep refill, so it must
+// equal n scalar draws bit for bit and leave the stream at the same place:
+// each lowered pow (alpha 1, 1.5, 2) and the general path, at lengths
+// around the 64-draw pass block.
 TEST(SamplerVariant, SampleNMatchesRepeatedSample) {
-  const SamplerVariant s = BoundedParetoSampler(1.5, 0.1, 100.0);
-  Rng ra(114), rb(114);
-  double block[256];
-  s.sample_n(ra, block, 256);
-  for (int i = 0; i < 256; ++i) {
-    EXPECT_DOUBLE_EQ(block[i], s.sample(rb)) << "i=" << i;
+  for (const double alpha : {1.0, 1.5, 2.0, 2.7}) {
+    const SamplerVariant s = BoundedParetoSampler(alpha, 0.1, 100.0);
+    for (const std::size_t n : {1, 63, 64, 65, 200}) {
+      SCOPED_TRACE("alpha " + std::to_string(alpha) + " n " +
+                   std::to_string(n));
+      Rng ra(114), rb(114);
+      std::vector<double> block(n);
+      s.sample_n(ra, block.data(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        expect_bits(block[i], s.sample(rb), "draw");
+      }
+      EXPECT_EQ(ra.bits(), rb.bits()) << "streams stand apart";
+    }
   }
 }
 

@@ -82,23 +82,42 @@ inline std::vector<double> parse_list(const std::string& opt,
   return out;
 }
 
+/// The human half of a library error: strips the PSD_REQUIRE
+/// "precondition failed: (...) at file:line — " prefix.
+inline std::string human_message(const std::exception& e) {
+  const std::string what = e.what();
+  const auto dash = what.rfind(" — ");
+  return dash == std::string::npos
+             ? what
+             : what.substr(dash + sizeof(" — ") - sizeof(""));
+}
+
 /// Spec-valued flag -> spec type S via the common/spec.hpp registry
-/// (library grammar, CliError on typos).  Strips the PSD_REQUIRE
-/// "precondition failed: (...) at file:line — " prefix; the CLI surface
-/// wants the human half of the message only.
+/// (library grammar, CliError on typos, human half of the message only).
 template <spec::Spec S>
 S parse_spec(const std::string& opt, const std::string& s) {
   try {
     return S::parse(s);
   } catch (const std::exception& e) {
-    const std::string what = e.what();
-    const auto dash = what.rfind(" — ");
-    fail(opt + ": " +
-             (dash == std::string::npos ? what
-                                        : what.substr(dash + sizeof(" — ") -
-                                                      sizeof(""))),
-         s, spec::hint<S>());
+    fail(opt + ": " + human_message(e), s, spec::hint<S>());
   }
+}
+
+/// Runs a library validate() step at parse time, so a value out of range
+/// exits 2 with the human half of the precondition's message instead of
+/// failing once the run has started.
+template <typename F>
+void validate_config(F&& validate) {
+  try {
+    validate();
+  } catch (const std::exception& e) {
+    throw CliError("invalid configuration: " + human_message(e));
+  }
+}
+
+/// Every replication set needs at least one run.
+inline void require_runs(std::uint64_t runs) {
+  if (runs == 0) throw CliError("--runs must be at least 1, got '0'");
 }
 
 inline DistSpec parse_dist(const std::string& opt, const std::string& s) {

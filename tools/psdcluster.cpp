@@ -125,6 +125,7 @@ int main(int argc, char** argv) {
     }
     cli::require_partner(kill_node_given, "--kill-node", cfg.kill_at >= 0.0,
                          "--kill-at");
+    cli::validate_config([&] { cfg.validate(); });
   } catch (const cli::CliError& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 2;
@@ -134,7 +135,6 @@ int main(int argc, char** argv) {
   }
 
   try {
-    cfg.validate();
     const SamplerVariant dist = make_sampler(cfg.node.size_dist);
 
     std::cout << "cluster: " << cfg.nodes << " node(s) x " << cfg.node.shards

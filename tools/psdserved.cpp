@@ -160,13 +160,13 @@ int main(int argc, char** argv) {
                          !cfg.obs.slo_rules.empty(), "--slo");
     cli::require_partner(given.count("--trace-sample"), "--trace-sample",
                          cfg.obs.tracing(), "--trace-out or --slo");
+    cli::validate_config([&] { cfg.validate(); });
   } catch (const cli::CliError& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 2;
   }
 
   try {
-    cfg.validate();
     const SamplerVariant dist = make_sampler(cfg.size_dist);
 
     std::unique_ptr<rt::Runtime> runtime;

@@ -364,13 +364,14 @@ int main(int argc, char** argv) {
         usage(2);
       }
     }
+    cli::require_runs(runs);
+    cli::validate_config([&] { cfg.validate(); });
   } catch (const cli::CliError& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 2;
   }
 
   try {
-    cfg.validate();
     const SamplerVariant dist = make_sampler(cfg.size_dist);
     const auto lambdas = cfg.true_lambdas();
 

@@ -280,6 +280,7 @@ void write_csv_pivot(const std::string& path, const CampaignResult& result) {
 
 int main(int argc, char** argv) {
   Options o;
+  std::vector<CampaignPoint> points;
   try {
     // First pass: --spec files load in order, then flags override.
     for (int i = 1; i < argc; ++i) {
@@ -306,6 +307,9 @@ int main(int argc, char** argv) {
       else if (arg.rfind("--", 0) == 0) apply_option(o, arg.substr(2), value());
       else cli::fail("unknown argument", arg, "see --help");
     }
+    cli::require_runs(o.campaign.runs);
+    // Expansion validates every point's config.
+    cli::validate_config([&] { points = expand_grid(o.grid); });
   } catch (const cli::CliError& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 2;
@@ -313,7 +317,6 @@ int main(int argc, char** argv) {
 
   try {
     if (o.dry_run) {
-      const auto points = expand_grid(o.grid);
       std::cout << points.size() << " points:\n";
       for (const auto& p : points) {
         std::cout << "  " << p.key << "  " << p.label << "\n";
