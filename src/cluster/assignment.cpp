@@ -72,26 +72,4 @@ AssignmentSpec AssignmentSpec::parse(const std::string& spec) {
   return out;
 }
 
-void ClusterSpec::validate() const {
-  PSD_REQUIRE(nodes >= 1, "cluster needs at least one node");
-  assignment.validate();
-}
-
-std::string ClusterSpec::name() const {
-  return std::to_string(nodes) + ":" + assignment.name();
-}
-
-ClusterSpec ClusterSpec::parse(const std::string& spec) {
-  ClusterSpec out;
-  const auto colon = spec.find(':');
-  const std::string head = spec.substr(0, colon);
-  PSD_REQUIRE(parse_size(head, &out.nodes),
-              "cluster node count must be a number");
-  if (colon != std::string::npos) {
-    out.assignment = AssignmentSpec::parse(spec.substr(colon + 1));
-  }
-  out.validate();
-  return out;
-}
-
 }  // namespace psd

@@ -48,28 +48,4 @@ struct AssignmentSpec {
   }
 };
 
-/// Cluster topology spec: node count plus the assignment policy in front of
-/// it.  Grammar: "N" | "N:assignment" (e.g. "4:jsq2", "8:sita").
-struct ClusterSpec {
-  std::size_t nodes = 1;
-  AssignmentSpec assignment;
-
-  void validate() const;
-
-  /// Canonical parsable form ("4:jsq2"); a 1-node cluster still renders its
-  /// policy ("1:rr") so name() round-trips losslessly.
-  std::string name() const;
-
-  /// Inverse of name(); bare "N" keeps the default round-robin assignment.
-  /// Throws psd::Error on malformed input.
-  static ClusterSpec parse(const std::string& spec);
-
-  friend bool operator==(const ClusterSpec& x, const ClusterSpec& y) {
-    return x.nodes == y.nodes && x.assignment == y.assignment;
-  }
-  friend bool operator!=(const ClusterSpec& x, const ClusterSpec& y) {
-    return !(x == y);
-  }
-};
-
 }  // namespace psd

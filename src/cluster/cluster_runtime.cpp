@@ -3,14 +3,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <numeric>
 #include <thread>
 
 #include "cluster/dispatcher.hpp"
-#include "core/psd_rate_allocator.hpp"
 #include "dist/sampler.hpp"
-#include "stats/convergence.hpp"
-#include "workload/class_spec.hpp"
 
 namespace psd::rt {
 
@@ -31,99 +27,6 @@ void ClusterRtConfig::validate() const {
     PSD_REQUIRE(kill_node < nodes, "kill node out of range");
     PSD_REQUIRE(kill_at > 0.0 && kill_at < node.duration,
                 "kill time must fall inside the run");
-  }
-}
-
-GlobalController::GlobalController(Config cfg,
-                                   std::vector<RuntimeHandle*> nodes,
-                                   const AssignmentRouter* router)
-    : cfg_(std::move(cfg)), nodes_(std::move(nodes)), router_(router) {
-  PSD_REQUIRE(!nodes_.empty(), "global controller needs at least one node");
-  PSD_REQUIRE(router_ != nullptr, "global controller needs the router");
-  PSD_REQUIRE(!cfg_.delta.empty() && cfg_.delta.size() <= kMaxRtClasses,
-              "global controller supports 1..kMaxRtClasses classes");
-  shards_per_node_ = nodes_[0]->num_shards();
-  windows_seen_.assign(nodes_.size() * shards_per_node_ * cfg_.delta.size(),
-                       0);
-  // Until the first warm tick every shard runs its initial equal split.
-  rates_.assign(cfg_.delta.size(),
-                cfg_.node_capacity * static_cast<double>(nodes_.size()) /
-                    static_cast<double>(cfg_.delta.size()));
-  lambda_.assign(cfg_.delta.size(), 0.0);
-  rebuild_allocator();
-}
-
-void GlobalController::rebuild_allocator() {
-  PsdAllocatorConfig pc;
-  pc.delta = cfg_.delta;
-  pc.capacity =
-      cfg_.node_capacity * static_cast<double>(router_->alive_count());
-  pc.mean_size = cfg_.mean_size;
-  pc.rho_max = cfg_.rho_max;
-  pc.min_residual_share = cfg_.min_residual_share;
-  allocator_ = make_allocator(cfg_.allocator, pc, cfg_.adaptive);
-}
-
-void GlobalController::on_topology_change() {
-  // A fresh allocator against the shrunken capacity: the adaptive
-  // integrator restarts from the stationary eq.-17 point, and the time it
-  // takes to re-tighten the ratios is exactly the settle metric.
-  rebuild_allocator();
-}
-
-void GlobalController::tick(Time now) {
-  (void)now;
-  const std::size_t n = cfg_.delta.size();
-  std::vector<double> lambda(n, 0.0);
-  std::vector<double> sd_sum(n, 0.0);
-  std::vector<std::uint32_t> sd_cnt(n, 0);
-  bool fresh_window = false;
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    if (!router_->alive(i)) continue;
-    const auto snaps = nodes_[i]->shard_snapshots();
-    for (std::size_t s = 0; s < snaps.size(); ++s) {
-      const ShardSnapshot& snap = snaps[s];
-      for (std::size_t c = 0; c < n; ++c) {
-        lambda[c] += snap.lambda_hat[c];
-        // Same exactly-once feedback gate the node controller applies per
-        // (shard, class), here keyed by (node, shard, class): each closed
-        // metrics window feeds the adaptive integrator once, cluster-wide.
-        std::uint64_t& seen =
-            windows_seen_[(i * shards_per_node_ + s) * n + c];
-        const bool advanced = snap.window_seq[c] > seen;
-        seen = snap.window_seq[c];
-        if (advanced && std::isfinite(snap.window_slowdown[c])) {
-          sd_sum[c] += snap.window_slowdown[c];
-          ++sd_cnt[c];
-          fresh_window = true;
-        }
-      }
-    }
-  }
-  std::vector<double> mean_sd(n, kNaN);
-  for (std::size_t c = 0; c < n; ++c) {
-    if (sd_cnt[c] > 0) mean_sd[c] = sd_sum[c] / sd_cnt[c];
-  }
-
-  ++ticks_;
-  lambda_ = lambda;
-  const double total = std::accumulate(lambda.begin(), lambda.end(), 0.0);
-  // Cold start keeps the initial equal split, like the node controller.
-  if (allocator_ != nullptr && total > 0.0) {
-    if (fresh_window) allocator_->observe_slowdowns(mean_sd);
-    rates_ = allocator_->allocate(lambda);
-    ++allocations_;
-    // Split each class's global rate across alive nodes by the router's
-    // work weights: uniform for the symmetric policies, band shares under
-    // SITA-E (a band node sees only its band's work, so its slice must
-    // match what the dispatcher actually sends there).
-    const std::vector<double> w = router_->work_weights();
-    std::vector<double> node_rates(n);
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-      if (!router_->alive(i)) continue;
-      for (std::size_t c = 0; c < n; ++c) node_rates[c] = rates_[c] * w[i];
-      nodes_[i]->set_rates(node_rates, ticks_);
-    }
   }
 }
 
@@ -163,50 +66,31 @@ ClusterRuntime::ClusterRuntime(ClusterRtConfig cfg, ClockVariant clock)
   router_.emplace(cfg_.assignment, cfg_.nodes, master.fork(8000),
                   std::move(cutoffs));
 
-  GlobalController::Config gc;
+  // The global controller: the node controller's loop over one shard group
+  // per node, at the allocator the template names, with no admission
+  // staging (node controllers stage their own gates) and no trace.
+  ControllerConfig gc;
   gc.delta = cfg_.node.delta;
-  gc.node_capacity =
+  gc.group_capacity =
       cfg_.node.shard_capacity() * static_cast<double>(cfg_.node.shards);
   gc.mean_size = make_sampler(cfg_.node.size_dist).mean();
   gc.allocator = global_alloc;
   gc.adaptive = cfg_.node.adaptive;
   gc.rho_max = cfg_.node.rho_max;
   gc.min_residual_share = cfg_.node.min_residual_share;
-  std::vector<RuntimeHandle*> handle_ptrs;
-  handle_ptrs.reserve(handles_.size());
-  for (auto& h : handles_) handle_ptrs.push_back(&h);
-  global_ = std::make_unique<GlobalController>(
-      std::move(gc), std::move(handle_ptrs), &*router_);
+  std::vector<std::vector<Shard*>> groups;
+  for (const auto& node : nodes_) groups.push_back(node->shard_ptrs());
+  global_ = std::make_unique<Controller>(std::move(gc), std::move(groups));
 
-  // Load sources: the single-node Runtime's construction verbatim, except
-  // per-class rates scale with the node count (cfg.node.load is per-SHARD
-  // utilization, cluster-wide) and every produced request lands in
-  // dispatch() via the sink instead of being sprayed over local shards.
-  const auto lam_node = cfg_.node.lambdas();
-  const double scale = static_cast<double>(cfg_.nodes) /
-                       static_cast<double>(cfg_.node.loadgens);
-  const SamplerVariant sampler = make_sampler(cfg_.node.size_dist);
-  for (std::size_t g = 0; g < cfg_.node.loadgens; ++g) {
-    std::vector<SyntheticLoadGen::ClassLoad> classes;
-    classes.reserve(cfg_.num_classes());
-    for (std::size_t c = 0; c < cfg_.num_classes(); ++c) {
-      const double rate = lam_node[c] * scale;
-      if (cfg_.node.arrivals.kind == ArrivalKind::kPoisson &&
-          !cfg_.node.profile.active()) {
-        classes.push_back(
-            {static_cast<ClassId>(c), PoissonArrivals(rate), sampler});
-      } else {
-        classes.push_back(
-            {static_cast<ClassId>(c),
-             make_arrivals(cfg_.node.arrivals, rate, cfg_.node.profile),
-             sampler});
-      }
-    }
-    gens_.push_back(std::make_unique<SyntheticLoadGen>(
-        static_cast<std::uint32_t>(g), master.fork(100 + g),
-        std::move(classes), [this](const Request& req) { dispatch(req); },
-        0.0));
-  }
+  // Load sources: the single-node Runtime's, except per-class rates scale
+  // with the node count (cfg.node.load is per-SHARD utilization,
+  // cluster-wide) and every produced request lands in dispatch() via the
+  // sink instead of being sprayed over local shards.
+  gens_ = make_synthetic_sources(
+      cfg_.node,
+      static_cast<double>(cfg_.nodes) /
+          static_cast<double>(cfg_.node.loadgens),
+      {}, [this](const Request& req) { dispatch(req); });
 
   load_signal_.assign(cfg_.nodes, 0.0);
   dispatched_.assign(cfg_.nodes, 0);
@@ -275,7 +159,9 @@ void ClusterRuntime::sample_stats(Time now) {
       }
     }
   }
-  stats_->sample(now, per_node, global_->rates(), global_->allocations());
+  const ControllerSnapshot cs = global_->snapshot();
+  stats_->sample(now, per_node, std::vector<double>(cs.rate, cs.rate + n),
+                 cs.allocations);
 }
 
 void ClusterRuntime::do_kill(std::size_t node,
@@ -290,7 +176,7 @@ void ClusterRuntime::do_kill(std::size_t node,
   // Freeze the node's metrics at the kill instant: its windows end here,
   // its outstanding requests are stranded (counted as lost_to_kill).
   nodes_[node]->finish();
-  global_->on_topology_change();
+  global_->drop_group(node);
   killed_ = true;
   kill_time_ = clock_.now();
   if (stats_ != nullptr) stats_->kill(kill_time_, node);
@@ -326,7 +212,7 @@ void ClusterRuntime::step_to_internal(Time t) {
   for (std::size_t i = 0; i < handles_.size(); ++i) {
     // Each alive node advances its own clock copy to t, drains its shards,
     // runs its (rate-less) controller ticks, and samples its exporter.
-    if (router_->alive(i)) handles_[i].step_to(t);
+    if (router_->alive(i)) nodes_[i]->step_to(t);
   }
   while (next_rebalance_ <= t) {
     global_tick(next_rebalance_);
@@ -517,8 +403,9 @@ ClusterReport ClusterRuntime::report() const {
     r.shed_total += r.cls[c].shed;
   }
   for (const auto& g : gens_) r.produced += g->produced();
-  r.global_ticks = global_->ticks();
-  r.rebalances = global_->allocations();
+  const ControllerSnapshot cs = global_->snapshot();
+  r.global_ticks = cs.ticks;
+  r.rebalances = cs.allocations;
   r.mean_dispatch_ns =
       dispatch_timed_ > 0
           ? static_cast<double>(dispatch_ns_) /
@@ -528,26 +415,32 @@ ClusterReport ClusterRuntime::report() const {
 
   // Window statistics read the servers' closed series, so finalized only.
   if (finalized_) {
-    // Cluster-wide pooled windowed medians: the single-node statistic with
-    // every node's shards in the pool.
-    double worst = kNaN;
-    for (std::size_t c = 1; c < n; ++c) {
-      std::vector<const std::vector<IntervalStat>*> base, cls;
-      for (std::size_t i = 0; i < handles_.size(); ++i) {
-        Runtime* node = nodes_[i].get();
-        for (std::size_t s = 0; s < node->num_shards(); ++s) {
-          const auto& m = node->shard(s).server().metrics();
-          base.push_back(&m.windows(0));
-          cls.push_back(&m.windows(static_cast<ClassId>(c)));
-        }
-      }
-      const double p50 = pooled_window_ratio_median(base, cls);
-      if (!std::isfinite(p50)) continue;
-      r.cls[c].window_ratio_p50 = p50;
-      const double err = std::abs(p50 / r.cls[c].target_ratio - 1.0);
-      worst = std::isfinite(worst) ? std::max(worst, err) : err;
+    // Re-convergence after the disturbance: a node kill if one happened,
+    // else the load profile's settling point.  The pooled statistics are
+    // the single-node ones with every node's shards in the pool (killed
+    // nodes contribute their pre-kill windows).
+    double onset = kNaN;
+    if (std::isfinite(kill_time_)) {
+      onset = std::max(kill_time_, cfg_.node.warmup);
+    } else if (std::isfinite(cfg_.node.profile.step_time())) {
+      onset = std::max(cfg_.node.profile.step_time(), cfg_.node.warmup);
     }
-    r.max_window_ratio_error = worst;
+    r.settle_onset = onset;
+    std::vector<Shard*> pool;
+    for (const auto& node : nodes_) {
+      const std::vector<Shard*> shards = node->shard_ptrs();
+      pool.insert(pool.end(), shards.begin(), shards.end());
+    }
+    const WindowRatioStats w =
+        window_ratio_stats(pool, cfg_.node.delta, onset,
+                           cfg_.node.converge_tol,
+                           cfg_.node.controller_period);
+    for (std::size_t c = 1; c < n; ++c) {
+      r.cls[c].window_ratio_p50 = w.p50[c];
+      r.cls[c].settle_seconds = w.settle[c];
+    }
+    r.max_window_ratio_error = w.max_error;
+    r.max_settle_seconds = w.max_settle;
 
     // Cross-node check: the differentiation must hold on every surviving
     // node individually, not just in the pooled aggregate.  Strict: an
@@ -565,45 +458,6 @@ ClusterReport ClusterRuntime::report() const {
         }
       }
       r.cross_node_ratio_error = poisoned ? kNaN : cross;
-    }
-
-    // Re-convergence after the disturbance: a node kill if one happened,
-    // else the load profile's settling point.  Windows merge across every
-    // node's shards (killed nodes contribute their pre-kill windows).
-    double onset = kNaN;
-    if (std::isfinite(kill_time_)) {
-      onset = std::max(kill_time_, cfg_.node.warmup);
-    } else if (std::isfinite(cfg_.node.profile.step_time())) {
-      onset = std::max(cfg_.node.profile.step_time(), cfg_.node.warmup);
-    }
-    r.settle_onset = onset;
-    if (std::isfinite(onset) && n >= 2) {
-      auto merged = [this](ClassId cls_id) {
-        std::vector<IntervalStat> out;
-        for (std::size_t i = 0; i < handles_.size(); ++i) {
-          Runtime* node = nodes_[i].get();
-          for (std::size_t s = 0; s < node->num_shards(); ++s) {
-            merge_windows_into(
-                out, node->shard(s).server().metrics().windows(cls_id));
-          }
-        }
-        return out;
-      };
-      const auto w0 = merged(0);
-      double worst_s = 0.0;
-      for (std::size_t c = 1; c < n; ++c) {
-        const double settled = ratio_settle_time(
-            w0, merged(static_cast<ClassId>(c)), r.cls[c].target_ratio,
-            cfg_.node.converge_tol, onset, cfg_.node.controller_period);
-        r.cls[c].settle_seconds = settled;
-        // NaN (never settled) poisons the max: a bounded check must fail.
-        if (!std::isfinite(settled)) {
-          worst_s = kNaN;
-        } else if (std::isfinite(worst_s)) {
-          worst_s = std::max(worst_s, settled);
-        }
-      }
-      r.max_settle_seconds = worst_s;
     }
   }
   return r;

@@ -14,23 +14,24 @@
 //     AssignmentRouter (cluster/router.hpp — the identical policy
 //     implementation the simulation validates) and submits to the chosen
 //     node's handle;
-//   * the GlobalController re-runs the paper's eq.-17 allocator one level
-//     up: it aggregates lambda estimates and exactly-once window-slowdown
-//     feedback across every alive node's shard snapshots, allocates against
-//     the ALIVE cluster capacity, and splits each class's global rate
-//     across nodes by the router's work weights (uniform for the symmetric
-//     policies, band shares under SITA-E) — holding per-class slowdown
-//     ratios cluster-wide, not merely per node.
+//   * the global controller is the node controller's own loop
+//     (rt/controller.hpp) with one shard group per node: it aggregates
+//     lambda estimates and exactly-once window-slowdown feedback across
+//     every alive node's shard snapshots, allocates against the ALIVE
+//     cluster capacity, and gives every alive node an equal share of each
+//     class's global rate — holding per-class slowdown ratios cluster-wide,
+//     not merely per node.
 //
 // Node failure is first-class: kill(node) flips the router's alive mask
-// (dispatch + rebalance both skip the corpse), freezes the node's metrics,
-// and shrinks the allocator's capacity, after which the cluster re-converges
-// — the report measures how fast (settle time, stats/convergence.hpp).
+// (dispatch skips the corpse), freezes the node's metrics, and drops the
+// node's shard group from the global controller, whose allocator shrinks to
+// the surviving capacity; the cluster then re-converges — the report
+// measures how fast (settle time, stats/convergence.hpp).
 //
 // Like Runtime, the whole thing drives two ways: run() spawns shard/
-// generator/controller threads on the wall clock (psdcluster), step_to()
-// advances everything deterministically under a ManualClock (tests;
-// bitwise-identical reports at a fixed seed).
+// generator/controller threads on the wall clock (psdserved --nodes N),
+// step_to() advances everything deterministically under a ManualClock
+// (tests; bitwise-identical reports at a fixed seed).
 #pragma once
 
 #include <atomic>
@@ -69,58 +70,6 @@ struct ClusterRtConfig {
 
   std::size_t num_classes() const { return node.num_classes(); }
   void validate() const;
-};
-
-/// The cluster-wide reallocation loop: rt/controller.hpp's aggregation
-/// semantics applied across every alive node's shards, with the rate split
-/// delegated to the router's work weights.  tick() is synchronous and
-/// called from exactly one thread at a time (the cluster's controller
-/// thread, or the deterministic driver).
-class GlobalController {
- public:
-  struct Config {
-    std::vector<double> delta;
-    double node_capacity = 1.0;  ///< Sum of ONE node's shard capacities.
-    double mean_size = 1.0;
-    AllocatorKind allocator = AllocatorKind::kAdaptivePsd;
-    AdaptiveConfig adaptive;
-    double rho_max = 0.98;
-    double min_residual_share = 1e-3;
-  };
-
-  /// `nodes` and `router` are borrowed and must outlive the controller.
-  GlobalController(Config cfg, std::vector<RuntimeHandle*> nodes,
-                   const AssignmentRouter* router);
-
-  /// Aggregate estimates over alive nodes, reallocate against alive
-  /// capacity, push per-node rate slices.
-  void tick(Time now);
-
-  /// Re-arm after an alive-mask change: rebuilds the allocator against the
-  /// new alive capacity (the adaptive integrator restarts — re-convergence
-  /// after a kill is exactly what the settle metric measures).
-  void on_topology_change();
-
-  const std::vector<double>& rates() const { return rates_; }
-  const std::vector<double>& last_lambda() const { return lambda_; }
-  std::uint64_t ticks() const { return ticks_; }
-  std::uint64_t allocations() const { return allocations_; }
-
- private:
-  void rebuild_allocator();
-
-  Config cfg_;
-  std::vector<RuntimeHandle*> nodes_;
-  const AssignmentRouter* router_;
-  std::unique_ptr<RateAllocator> allocator_;  ///< Null for kNone.
-  /// Last window_seq seen per (node, shard, class) — the same exactly-once
-  /// feedback gate the node controller applies per (shard, class).
-  std::vector<std::uint64_t> windows_seen_;
-  std::size_t shards_per_node_;
-  std::vector<double> rates_;   ///< Global (cluster-summed) per-class rates.
-  std::vector<double> lambda_;  ///< Last aggregated arrival estimate.
-  std::uint64_t ticks_ = 0;
-  std::uint64_t allocations_ = 0;
 };
 
 struct ClusterClassReport {
@@ -206,7 +155,7 @@ class ClusterRuntime {
   std::size_t nodes() const { return handles_.size(); }
   RuntimeHandle& node(std::size_t i) { return handles_[i]; }
   const AssignmentRouter& router() const { return *router_; }
-  const GlobalController& global_controller() const { return *global_; }
+  const Controller& global_controller() const { return *global_; }
   const ClusterRtConfig& config() const { return cfg_; }
   ClockVariant& clock() { return clock_; }
 
@@ -220,7 +169,7 @@ class ClusterRuntime {
   void global_tick(Time now);
   /// Router flip (under the dispatch mutex) -> optional thread stop hook
   /// (threaded mode joins the node's shard threads here) -> metrics freeze
-  /// -> allocator re-arm -> stats event.
+  /// -> global controller drops the node's group -> stats event.
   void do_kill(std::size_t node, const std::function<void()>& stop_node = {});
   void sample_stats(Time now);
   std::uint64_t alive_outstanding() const;
@@ -230,7 +179,7 @@ class ClusterRuntime {
   std::vector<std::unique_ptr<Runtime>> nodes_;
   std::vector<RuntimeHandle> handles_;
   std::optional<AssignmentRouter> router_;
-  std::unique_ptr<GlobalController> global_;
+  std::unique_ptr<Controller> global_;  ///< Rate writer for every node.
   std::vector<std::unique_ptr<LoadSource>> gens_;
   std::unique_ptr<obs::ClusterStatsLog> stats_;
 

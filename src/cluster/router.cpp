@@ -97,22 +97,4 @@ std::size_t AssignmentRouter::route(double size,
   PSD_UNREACHABLE("unknown assignment policy");
 }
 
-std::vector<double> AssignmentRouter::work_weights() const {
-  std::vector<double> w(alive_.size(), 0.0);
-  if (spec_.policy == AssignmentPolicy::kSizeInterval) {
-    // Every band carries an equal share of the work by SITA-E construction;
-    // a dead node's band adds its share to the node it reroutes to.
-    const double band = 1.0 / static_cast<double>(alive_.size());
-    for (std::size_t b = 0; b < alive_.size(); ++b) {
-      w[next_alive_from(b)] += band;
-    }
-    return w;
-  }
-  const double share = 1.0 / static_cast<double>(alive_n_);
-  for (std::size_t i = 0; i < alive_.size(); ++i) {
-    if (alive_[i] != 0) w[i] = share;
-  }
-  return w;
-}
-
 }  // namespace psd

@@ -42,14 +42,6 @@ class AssignmentRouter {
   const AssignmentSpec& spec() const { return spec_; }
   const std::vector<double>& cutoffs() const { return cutoffs_; }
 
-  /// Long-run fraction of dispatched WORK each node carries under the
-  /// current alive mask, by policy construction: SITA-E bands carry equal
-  /// expected load, so an alive node's weight is (bands homed or rerouted
-  /// to it) / (total bands); every other policy spreads work uniformly over
-  /// the alive nodes.  Dead nodes weigh 0.  The cluster-level allocator
-  /// splits per-node rates with this.
-  std::vector<double> work_weights() const;
-
  private:
   std::size_t nth_alive(std::size_t k) const;
   std::size_t next_alive_from(std::size_t node) const;  ///< Wrapping.

@@ -4,8 +4,8 @@
 // A "spec" is a small copyable, comparable struct describing one
 // configurable axis — a service-time law (DistSpec), an arrival process
 // (ArrivalSpec), a nonstationary load shape (LoadProfile), an admission
-// policy (AdmissionSpec), a task-assignment policy (AssignmentSpec), a
-// cluster topology (ClusterSpec).  Each exposes the same surface:
+// policy (AdmissionSpec), a task-assignment policy (AssignmentSpec).  Each
+// exposes the same surface:
 //
 //   static S S::parse(const std::string&)  — inverse of name(); throws
 //                                            std::invalid_argument
@@ -15,7 +15,7 @@
 //
 // so `S::parse(s.name()) == s` round-trips for every spec type, and one
 // grammar string works identically in psdsim, psdsweep, psdserved,
-// psdcluster, campaign specs, and JSONL records.  The CLIs layer their
+// campaign specs, and JSONL records.  The CLIs layer their
 // error formatting on top (tools/cli_util.hpp parse_spec<S>); everything
 // below the tools speaks the library grammar directly.
 //
@@ -80,10 +80,6 @@ template <>
 inline const char* hint<AssignmentSpec>() {
   return "random | rr | lwl | sita | jsq[d]";
 }
-template <>
-inline const char* hint<ClusterSpec>() {
-  return "nodes[:policy], e.g. 4 | 4:jsq2 | 8:sita";
-}
 
 // The registry's reason to exist: every spec type satisfies the one
 // contract, checked at compile time right here.
@@ -92,6 +88,5 @@ static_assert(Spec<ArrivalSpec>);
 static_assert(Spec<LoadProfile>);
 static_assert(Spec<AdmissionSpec>);
 static_assert(Spec<AssignmentSpec>);
-static_assert(Spec<ClusterSpec>);
 
 }  // namespace psd::spec

@@ -5,23 +5,45 @@
 
 namespace psd::rt {
 
-Controller::Controller(ControllerConfig cfg, std::vector<Shard*> shards)
-    : cfg_(std::move(cfg)), shards_(std::move(shards)) {
-  PSD_REQUIRE(!shards_.empty(), "controller needs at least one shard");
+Controller::Controller(ControllerConfig cfg,
+                       std::vector<std::vector<Shard*>> groups)
+    : cfg_(std::move(cfg)),
+      groups_(std::move(groups)),
+      live_(groups_.size(), true),
+      live_count_(groups_.size()) {
+  PSD_REQUIRE(!groups_.empty(), "controller needs at least one shard group");
+  std::size_t shards = 0;
+  for (const auto& group : groups_) {
+    PSD_REQUIRE(!group.empty(), "controller shard groups must be non-empty");
+    shards += group.size();
+  }
   PSD_REQUIRE(!cfg_.delta.empty() && cfg_.delta.size() <= kMaxRtClasses,
               "controller supports 1..kMaxRtClasses classes");
+  rebuild_allocator();
+  windows_seen_.assign(shards * cfg_.delta.size(), 0);
+  // Until the first warm tick, every shard runs its initial (equal) split.
+  rates_.assign(cfg_.delta.size(),
+                cfg_.group_capacity * static_cast<double>(groups_.size()) /
+                    static_cast<double>(cfg_.delta.size()));
+  prof_.set_enabled(cfg_.profile);
+}
+
+void Controller::rebuild_allocator() {
   PsdAllocatorConfig pc;
   pc.delta = cfg_.delta;
-  pc.capacity = cfg_.total_capacity;
+  pc.capacity = cfg_.group_capacity * static_cast<double>(live_count_);
   pc.mean_size = cfg_.mean_size;
   pc.rho_max = cfg_.rho_max;
   pc.min_residual_share = cfg_.min_residual_share;
   allocator_ = make_allocator(cfg_.allocator, pc, cfg_.adaptive);
-  windows_seen_.assign(shards_.size() * cfg_.delta.size(), 0);
-  // Until the first warm tick, every shard runs its initial (equal) split.
-  rates_.assign(cfg_.delta.size(),
-                cfg_.total_capacity / static_cast<double>(cfg_.delta.size()));
-  prof_.set_enabled(cfg_.profile);
+}
+
+void Controller::drop_group(std::size_t g) {
+  PSD_REQUIRE(g < groups_.size() && live_[g], "shard group is not live");
+  PSD_REQUIRE(live_count_ > 1, "cannot drop the last live shard group");
+  live_[g] = false;
+  --live_count_;
+  rebuild_allocator();
 }
 
 std::vector<ControllerTraceEntry> Controller::trace_since(
@@ -48,26 +70,35 @@ void Controller::tick(Time now) {
   std::vector<double> sd_sum(n, 0.0);
   std::vector<std::uint32_t> sd_cnt(n, 0);
   bool fresh_window = false;
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    const ShardSnapshot snap = shards_[i]->snapshot();
-    windows_total += snap.windows_closed;
-    for (std::size_t c = 0; c < n; ++c) {
-      lambda[c] += snap.lambda_hat[c];
-      offered[c] += snap.offered_lambda[c];
-      // Slowdown feedback only from classes whose metrics window actually
-      // advanced since this controller last looked: ticks and shard window
-      // rolls are not phase-locked (and windows close lazily, on the first
-      // completion past the boundary), so gating on the per-class sequence
-      // number is what makes the adaptive integrator see each window once —
-      // not once per tick, and not again during a completion lull.
-      std::uint64_t& seen = windows_seen_[i * n + c];
-      const bool advanced = snap.window_seq[c] > seen;
-      seen = snap.window_seq[c];
-      if (advanced && std::isfinite(snap.window_slowdown[c])) {
-        sd_sum[c] += snap.window_slowdown[c];
-        ++sd_cnt[c];
-        fresh_window = true;
+  std::size_t slot = 0;  // windows_seen_ offset of the current shard
+  for (std::size_t g = 0; g < groups_.size(); ++g) {
+    if (!live_[g]) {
+      slot += groups_[g].size() * n;  // A dead group keeps its slots.
+      continue;
+    }
+    for (Shard* shard : groups_[g]) {
+      const ShardSnapshot snap = shard->snapshot();
+      windows_total += snap.windows_closed;
+      for (std::size_t c = 0; c < n; ++c) {
+        lambda[c] += snap.lambda_hat[c];
+        offered[c] += snap.offered_lambda[c];
+        // Slowdown feedback only from classes whose metrics window
+        // actually advanced since this controller last looked: ticks and
+        // shard window rolls are not phase-locked (and windows close
+        // lazily, on the first completion past the boundary), so gating on
+        // the per-class sequence number is what makes the adaptive
+        // integrator see each window once — not once per tick, and not
+        // again during a completion lull.
+        std::uint64_t& seen = windows_seen_[slot + c];
+        const bool advanced = snap.window_seq[c] > seen;
+        seen = snap.window_seq[c];
+        if (advanced && std::isfinite(snap.window_slowdown[c])) {
+          sd_sum[c] += snap.window_slowdown[c];
+          ++sd_cnt[c];
+          fresh_window = true;
+        }
       }
+      slot += n;
     }
   }
   std::vector<double> mean_sd(n, kNaN);
@@ -75,21 +106,30 @@ void Controller::tick(Time now) {
     if (sd_cnt[c] > 0) mean_sd[c] = sd_sum[c] / sd_cnt[c];
   }
 
+  // The split rule: each live shard's slice of a global per-class vector is
+  // total_c * (1 / live groups) * (1 / shards in its group).
+  const double node_share = 1.0 / static_cast<double>(live_count_);
+  std::vector<double> slice(n);
+  auto for_each_slice = [&](const std::vector<double>& total, auto&& apply) {
+    for (std::size_t g = 0; g < groups_.size(); ++g) {
+      if (!live_[g]) continue;
+      const double shard_share = 1.0 / static_cast<double>(groups_[g].size());
+      for (std::size_t c = 0; c < n; ++c) {
+        slice[c] = total[c] * node_share * shard_share;
+      }
+      for (Shard* shard : groups_[g]) apply(*shard);
+    }
+  };
+
   // Admission update cadence: once per estimation window (some shard's
   // estimator rolled since the last staged update), not once per tick —
   // gate decisions latch between windows, mirroring the allocator.  Each
-  // shard's gate is sized at shard capacity, so it receives the per-shard
-  // slice of the aggregated offered view.
+  // shard's gate is sized at shard capacity, so it receives its slice of
+  // the aggregated offered view.
   if (cfg_.admission && windows_total > admission_windows_seen_) {
     admission_windows_seen_ = windows_total;
-    const double inv_shards = 1.0 / static_cast<double>(shards_.size());
-    std::vector<double> offered_slice(n);
-    for (std::size_t c = 0; c < n; ++c) {
-      offered_slice[c] = offered[c] * inv_shards;
-    }
-    for (Shard* shard : shards_) {
-      shard->stage_admission_update(offered_slice);
-    }
+    for_each_slice(offered,
+                   [&](Shard& shard) { shard.stage_admission_update(slice); });
   }
 
   ++ticks_;
@@ -117,12 +157,10 @@ void Controller::tick(Time now) {
     }
     ++allocations_;
     trace_entry.reallocated = true;
-    const double inv_shards = 1.0 / static_cast<double>(shards_.size());
-    std::vector<double> slice(n);
-    for (std::size_t c = 0; c < n; ++c) slice[c] = rates_[c] * inv_shards;
     // Stamp the handoff with this tick so spans admitted under these rates
     // name the allocation that governed them.
-    for (Shard* shard : shards_) shard->apply_rates(slice, ticks_);
+    for_each_slice(rates_,
+                   [&](Shard& shard) { shard.apply_rates(slice, ticks_); });
   }
   if (cfg_.trace) {
     for (std::size_t c = 0; c < n; ++c) trace_entry.rate_out[c] = rates_[c];

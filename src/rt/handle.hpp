@@ -1,24 +1,24 @@
-// RuntimeHandle: the narrow interface an embedder drives a Runtime through.
+// RuntimeHandle: the narrow interface an external driver feeds a Runtime
+// through.
 //
-// The Runtime class carries two concerns — the shard/controller topology and
-// the thread lifecycle that drives it.  Everything that wants to EMBED a
-// runtime (the cluster dispatcher treating it as one node of many,
-// deterministic tests injecting hand-built arrivals, psdserved as the 1-node
-// special case) needs only the first concern, behind four verbs:
+// A Runtime built with EmbeddedTag has shards, a controller and reports but
+// no load sources of its own.  Whoever drives it — the cluster dispatcher
+// treating it as one node of many, the benchmark's own open-loop generator,
+// deterministic tests injecting hand-built arrivals — needs only:
 //
-//   submit()    — inject one request (per-class round-robin over the shards,
-//                 the same spray discipline the internal load sources use, so
-//                 per-shard class mixes stay aligned with the global mix),
-//   snapshot()  — read the seqlock-published per-shard state,
-//   set_rates() — stage a GLOBAL per-class rate vector (split equally across
-//                 shards, exactly like the node controller's handoff),
-//   drain()     — advance every shard to `now` on the calling thread.
+//   submit()            — inject one request (per-class round-robin over the
+//                         shards, the same spray discipline the internal
+//                         load sources use, so per-shard class mixes stay
+//                         aligned with the global mix),
+//   shard_snapshots()   — read the seqlock-published per-shard state,
+//   outstanding()       — accepted requests not yet completed.
+//
+// The lifecycle (step_to / run / finish / report) stays on the Runtime
+// itself, reachable through runtime().
 //
 // The handle is a non-owning view: it borrows the Runtime and adds only the
-// round-robin cursors.  Thread discipline mirrors the components it fronts —
-// submit() from one dispatcher thread at a time (the cursors are plain
-// integers), set_rates() from one controller thread, drain() from the shard
-// owner; snapshot readers are free.
+// round-robin cursors.  submit() runs on one dispatcher thread at a time
+// (the cursors are plain integers); snapshot readers are free.
 #pragma once
 
 #include <vector>
@@ -51,38 +51,8 @@ class RuntimeHandle {
     return out;
   }
 
-  /// Stage a GLOBAL per-class rate vector: each shard receives an equal
-  /// slice and adopts it at its next drain.  `tick_seq` stamps request spans
-  /// with the allocation that governed them (see Shard::apply_rates).
-  void set_rates(const std::vector<double>& rates, std::uint64_t tick_seq) {
-    std::vector<double> slice(rates.size());
-    const double inv = 1.0 / static_cast<double>(rt_->num_shards());
-    for (std::size_t c = 0; c < rates.size(); ++c) slice[c] = rates[c] * inv;
-    for (std::size_t i = 0; i < rt_->num_shards(); ++i) {
-      rt_->shard(i).apply_rates(slice, tick_seq);
-    }
-  }
-
-  /// Advance every shard's embedded simulator to `now` and ingest its
-  /// backlog on the calling thread; returns requests popped.
-  std::size_t drain(Time now) {
-    std::size_t popped = 0;
-    for (std::size_t i = 0; i < rt_->num_shards(); ++i) {
-      popped += rt_->shard(i).drain(now);
-    }
-    return popped;
-  }
-
-  // Lifecycle forwards — psdserved runs a whole serving session through the
-  // handle; the cluster calls finish()/report() per node.
-  RtReport run() { return rt_->run(); }
-  void step_to(Time t) { rt_->step_to(t); }
-  void finish() { rt_->finish(); }
-  RtReport report() const { return rt_->report(); }
-
   std::uint64_t outstanding() const { return rt_->total_outstanding(); }
   std::size_t num_shards() const { return rt_->num_shards(); }
-  const RtConfig& config() const { return rt_->config(); }
   Runtime& runtime() { return *rt_; }
   const Runtime& runtime() const { return *rt_; }
 

@@ -6,26 +6,13 @@ namespace psd::rt {
 
 SyntheticLoadGen::SyntheticLoadGen(std::uint32_t gen_id, Rng rng,
                                    std::vector<ClassLoad> classes,
-                                   std::vector<Shard*> shards, Time start)
+                                   std::vector<Shard*> shards, Sink sink,
+                                   Time start)
     : rng_(std::move(rng)),
       shards_(std::move(shards)),
       id_base_(static_cast<std::uint64_t>(gen_id) << 48) {
-  PSD_REQUIRE(!shards_.empty(), "load generator needs at least one shard");
-  PSD_REQUIRE(!classes.empty(), "load generator needs at least one class");
-  streams_.reserve(classes.size());
-  for (auto& cl : classes) {
-    Stream s{cl.cls, std::move(cl.arrivals), std::move(cl.sizes), 0.0, 0};
-    s.next = start + s.arrivals.next_interarrival(rng_);
-    streams_.push_back(std::move(s));
-  }
-}
-
-SyntheticLoadGen::SyntheticLoadGen(std::uint32_t gen_id, Rng rng,
-                                   std::vector<ClassLoad> classes, Sink sink,
-                                   Time start)
-    : rng_(std::move(rng)),
-      id_base_(static_cast<std::uint64_t>(gen_id) << 48) {
-  PSD_REQUIRE(sink != nullptr, "sink-mode load generator needs a sink");
+  PSD_REQUIRE(sink != nullptr || !shards_.empty(),
+              "load generator needs a shard or a sink");
   PSD_REQUIRE(!classes.empty(), "load generator needs at least one class");
   set_sink(std::move(sink));
   streams_.reserve(classes.size());

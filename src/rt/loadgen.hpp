@@ -84,16 +84,14 @@ class SyntheticLoadGen final : public LoadSource {
     SamplerVariant sizes;
   };
 
-  /// `gen_id` namespaces request ids across generator threads.
+  /// `gen_id` namespaces request ids across generator threads.  Arrivals
+  /// spray over `shards`; in sink mode (`sink` set — the cluster
+  /// dispatcher) every arrival goes to the sink instead and `shards` may be
+  /// empty.  Draw sequences are identical in both modes at the same seed —
+  /// only delivery differs.
   SyntheticLoadGen(std::uint32_t gen_id, Rng rng,
                    std::vector<ClassLoad> classes, std::vector<Shard*> shards,
-                   Time start);
-
-  /// Sink mode: every arrival goes to `sink` (the cluster dispatcher)
-  /// instead of a shard spray.  Draw sequences are identical to the
-  /// shard-spray construction at the same seed — only delivery differs.
-  SyntheticLoadGen(std::uint32_t gen_id, Rng rng,
-                   std::vector<ClassLoad> classes, Sink sink, Time start);
+                   Sink sink, Time start);
 
   void step_until(Time t) override;
   Time next_time() const override;

@@ -123,23 +123,22 @@ void Runtime::build_shards(double shard_capacity) {
   }
 }
 
-std::vector<Shard*> Runtime::shard_ptrs() {
+std::vector<Shard*> Runtime::shard_ptrs() const {
   std::vector<Shard*> ptrs;
   ptrs.reserve(shards_.size());
-  for (auto& s : shards_) ptrs.push_back(s.get());
+  for (const auto& s : shards_) ptrs.push_back(s.get());
   return ptrs;
 }
 
-SamplerVariant Runtime::init_topology() {
+void Runtime::init_topology() {
   cfg_.validate();
-  const SamplerVariant sampler = make_sampler(cfg_.size_dist);
   const double capacity = cfg_.shard_capacity();
   build_shards(capacity);
 
   ControllerConfig cc;
   cc.delta = cfg_.delta;
-  cc.total_capacity = capacity * static_cast<double>(cfg_.shards);
-  cc.mean_size = sampler.mean();
+  cc.group_capacity = capacity * static_cast<double>(cfg_.shards);
+  cc.mean_size = make_sampler(cfg_.size_dist).mean();
   cc.allocator = cfg_.allocator;
   cc.adaptive = cfg_.adaptive;
   cc.rho_max = cfg_.rho_max;
@@ -148,8 +147,8 @@ SamplerVariant Runtime::init_topology() {
   cc.trace = cfg_.obs.enabled;
   cc.trace_capacity = cfg_.obs.trace_capacity;
   cc.profile = cfg_.obs.profile;
-  controller_ = std::make_unique<Controller>(std::move(cc), shard_ptrs());
-  return sampler;
+  controller_ = std::make_unique<Controller>(
+      std::move(cc), std::vector<std::vector<Shard*>>{shard_ptrs()});
 }
 
 void Runtime::init_exporter() {
@@ -177,38 +176,48 @@ void Runtime::init_exporter() {
   }
 }
 
+std::vector<std::unique_ptr<LoadSource>> make_synthetic_sources(
+    const RtConfig& cfg, double rate_scale, const std::vector<Shard*>& shards,
+    const LoadSource::Sink& sink) {
+  const SamplerVariant sampler = make_sampler(cfg.size_dist);
+  const auto lam = cfg.lambdas();
+  Rng master(cfg.seed);
+  std::vector<std::unique_ptr<LoadSource>> gens;
+  gens.reserve(cfg.loadgens);
+  for (std::size_t g = 0; g < cfg.loadgens; ++g) {
+    std::vector<SyntheticLoadGen::ClassLoad> classes;
+    classes.reserve(cfg.num_classes());
+    for (std::size_t c = 0; c < cfg.num_classes(); ++c) {
+      // Stationary default stays the bare Poisson construction (identical
+      // draw streams at a fixed seed); MMPP shapes and load profiles route
+      // through the workload factory.  Each generator thread carries its
+      // own thinned stream at its share of the rate — the superposition
+      // still tracks the profile on the wall clock.
+      const double rate = lam[c] * rate_scale;
+      if (cfg.arrivals.kind == ArrivalKind::kPoisson &&
+          !cfg.profile.active()) {
+        classes.push_back(
+            {static_cast<ClassId>(c), PoissonArrivals(rate), sampler});
+      } else {
+        classes.push_back(
+            {static_cast<ClassId>(c),
+             make_arrivals(cfg.arrivals, rate, cfg.profile), sampler});
+      }
+    }
+    gens.push_back(std::make_unique<SyntheticLoadGen>(
+        static_cast<std::uint32_t>(g), master.fork(100 + g),
+        std::move(classes), shards, sink, 0.0));
+  }
+  return gens;
+}
+
 Runtime::Runtime(RtConfig cfg, ClockVariant clock)
     : cfg_(std::move(cfg)),
       clock_(std::move(clock)),
       next_tick_(cfg_.controller_period) {
-  const SamplerVariant sampler = init_topology();
-  const auto lam = cfg_.lambdas();
-  const double inv_gens = 1.0 / static_cast<double>(cfg_.loadgens);
-  Rng master(cfg_.seed);
-  for (std::size_t g = 0; g < cfg_.loadgens; ++g) {
-    std::vector<SyntheticLoadGen::ClassLoad> classes;
-    classes.reserve(cfg_.num_classes());
-    for (std::size_t c = 0; c < cfg_.num_classes(); ++c) {
-      // Stationary default stays the bare Poisson construction (identical
-      // draw streams at a fixed seed); MMPP shapes and load profiles route
-      // through the workload factory.  Each generator thread carries its
-      // own thinned stream at rate/loadgens — the superposition still
-      // tracks the profile on the wall clock.
-      if (cfg_.arrivals.kind == ArrivalKind::kPoisson &&
-          !cfg_.profile.active()) {
-        classes.push_back({static_cast<ClassId>(c),
-                           PoissonArrivals(lam[c] * inv_gens), sampler});
-      } else {
-        classes.push_back({static_cast<ClassId>(c),
-                           make_arrivals(cfg_.arrivals, lam[c] * inv_gens,
-                                         cfg_.profile),
-                           sampler});
-      }
-    }
-    gens_.push_back(std::make_unique<SyntheticLoadGen>(
-        static_cast<std::uint32_t>(g), master.fork(100 + g),
-        std::move(classes), shard_ptrs(), 0.0));
-  }
+  init_topology();
+  gens_ = make_synthetic_sources(
+      cfg_, 1.0 / static_cast<double>(cfg_.loadgens), shard_ptrs());
   init_exporter();
 }
 
@@ -398,6 +407,59 @@ RtReport Runtime::run() {
   return report();
 }
 
+WindowRatioStats window_ratio_stats(const std::vector<Shard*>& shards,
+                                    const std::vector<double>& delta,
+                                    double onset, double tol, double period) {
+  const std::size_t n = delta.size();
+  WindowRatioStats w;
+  w.p50.assign(n, kNaN);
+  w.error.assign(n, kNaN);
+  w.settle.assign(n, kNaN);
+  // Pool per-window slowdown ratios (class c vs class 0, index-aligned —
+  // every shard rolls the same warmup/window grid) across the shards and
+  // take the median (stats/convergence.hpp).
+  for (std::size_t c = 1; c < n; ++c) {
+    std::vector<const std::vector<IntervalStat>*> base, cls;
+    for (const Shard* shard : shards) {
+      const auto& m = shard->server().metrics();
+      base.push_back(&m.windows(0));
+      cls.push_back(&m.windows(static_cast<ClassId>(c)));
+    }
+    const double p50 = pooled_window_ratio_median(base, cls);
+    if (!std::isfinite(p50)) continue;
+    w.p50[c] = p50;
+    w.error[c] = std::abs(p50 / (delta[c] / delta[0]) - 1.0);
+    w.max_error = std::isfinite(w.max_error)
+                      ? std::max(w.max_error, w.error[c])
+                      : w.error[c];
+  }
+  // Re-convergence: shard window series are index-aligned, so merge them
+  // count-weighted into one per-class series first — the same pairing rule
+  // the simulator's cluster aggregation uses.
+  if (std::isfinite(onset) && n >= 2) {
+    auto merged = [&](ClassId cls) {
+      std::vector<IntervalStat> out;
+      for (const Shard* shard : shards) {
+        merge_windows_into(out, shard->server().metrics().windows(cls));
+      }
+      return out;
+    };
+    const auto w0 = merged(0);
+    double worst = 0.0;
+    for (std::size_t c = 1; c < n; ++c) {
+      const double settled =
+          ratio_settle_time(w0, merged(static_cast<ClassId>(c)),
+                            delta[c] / delta[0], tol, onset, period);
+      w.settle[c] = settled;
+      // NaN (never settled) poisons the max: a bounded check must fail.
+      if (!std::isfinite(settled)) worst = kNaN;
+      else if (std::isfinite(worst)) worst = std::max(worst, settled);
+    }
+    w.max_settle = worst;
+  }
+  return w;
+}
+
 RtReport Runtime::report() const {
   const std::size_t n = cfg_.num_classes();
   RtReport r;
@@ -485,66 +547,32 @@ RtReport Runtime::report() const {
     }
   }
 
-  // Windowed medians: pool per-window slowdown ratios (class c vs class 0,
-  // index-aligned — every shard rolls the same warmup/window grid) across
-  // shards and take the median (stats/convergence.hpp; the cluster report
-  // applies the same statistic one level up, across all nodes' shards).
-  // Reads the servers' window series directly, so only after finish()
-  // stopped the shard threads.
+  // Windowed medians and the ratio re-convergence after the profile's
+  // settling point, over this node's shards.  They read the servers' window
+  // series directly, so only after finish() stopped the shard threads.
   if (finalized_) {
-    double worst_w = kNaN;
+    const double step_at = cfg_.profile.step_time();
+    const WindowRatioStats w = window_ratio_stats(
+        shard_ptrs(), cfg_.delta,
+        std::isfinite(step_at) ? std::max(step_at, cfg_.warmup) : kNaN,
+        cfg_.converge_tol, cfg_.controller_period);
     for (std::size_t c = 1; c < n; ++c) {
-      std::vector<const std::vector<IntervalStat>*> base, cls;
-      for (const auto& shard : shards_) {
-        const auto& m = shard->server().metrics();
-        base.push_back(&m.windows(0));
-        cls.push_back(&m.windows(static_cast<ClassId>(c)));
-      }
-      const double p50 = pooled_window_ratio_median(base, cls);
-      if (!std::isfinite(p50)) continue;
-      r.cls[c].window_ratio_p50 = p50;
-      const double err = std::abs(p50 / r.cls[c].target_ratio - 1.0);
-      worst_w = std::isfinite(worst_w) ? std::max(worst_w, err) : err;
+      r.cls[c].window_ratio_p50 = w.p50[c];
+      r.cls[c].settle_seconds = w.settle[c];
       // Survivor-only ratio integrity: under a gate, a fully-shed class
       // contributes no windows and drops out of this statistic by
       // construction — what remains is the differentiation among classes
       // that kept completing.
-      if (cfg_.admission.active() && r.cls[c].completed > 0) {
+      if (cfg_.admission.active() && r.cls[c].completed > 0 &&
+          std::isfinite(w.error[c])) {
         r.survivor_window_ratio_error =
             std::isfinite(r.survivor_window_ratio_error)
-                ? std::max(r.survivor_window_ratio_error, err)
-                : err;
+                ? std::max(r.survivor_window_ratio_error, w.error[c])
+                : w.error[c];
       }
     }
-    r.max_window_ratio_error = worst_w;
-
-    // Ratio re-convergence after the profile's settling point.  Shard
-    // window series are index-aligned (same warmup/window grid), so merge
-    // them count-weighted into one per-class series first — the same
-    // pairing rule the simulator's cluster aggregation uses.
-    const double step_at = cfg_.profile.step_time();
-    if (std::isfinite(step_at) && n >= 2) {
-      auto merged = [&](ClassId cls) {
-        std::vector<IntervalStat> out;
-        for (const auto& shard : shards_) {
-          merge_windows_into(out, shard->server().metrics().windows(cls));
-        }
-        return out;
-      };
-      const auto w0 = merged(0);
-      const double onset = std::max(step_at, cfg_.warmup);
-      double worst_s = 0.0;
-      for (std::size_t c = 1; c < n; ++c) {
-        const double settled = ratio_settle_time(
-            w0, merged(static_cast<ClassId>(c)), r.cls[c].target_ratio,
-            cfg_.converge_tol, onset, cfg_.controller_period);
-        r.cls[c].settle_seconds = settled;
-        // NaN (never settled) poisons the max: a bounded check must fail.
-        if (!std::isfinite(settled)) worst_s = kNaN;
-        else if (std::isfinite(worst_s)) worst_s = std::max(worst_s, settled);
-      }
-      r.max_settle_seconds = worst_s;
-    }
+    r.max_window_ratio_error = w.max_error;
+    r.max_settle_seconds = w.max_settle;
   }
 
   for (const auto& g : gens_) {

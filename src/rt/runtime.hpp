@@ -193,6 +193,9 @@ class Runtime {
   std::uint64_t total_outstanding() const;
   std::size_t num_shards() const { return shards_.size(); }
   Shard& shard(std::size_t i) { return *shards_[i]; }
+  /// Every shard in index order (borrowed; they live as long as the
+  /// Runtime).
+  std::vector<Shard*> shard_ptrs() const;
   const Controller& controller() const { return *controller_; }
   Controller& controller_mut() { return *controller_; }
   const RtConfig& config() const { return cfg_; }
@@ -204,12 +207,10 @@ class Runtime {
   obs::Watchdog* watchdog() { return watchdog_.get(); }
 
  private:
-  /// Shared constructor core: validate, build shards + controller.  Returns
-  /// the sampler so the synthetic path can reuse it for size draws.
-  SamplerVariant init_topology();
+  /// Shared constructor core: validate, build shards + controller.
+  void init_topology();
   void build_shards(double shard_capacity);
   void init_exporter();
-  std::vector<Shard*> shard_ptrs();
 
   RtConfig cfg_;
   ClockVariant clock_;
@@ -228,5 +229,35 @@ class Runtime {
 /// Best-effort affinity pin of the calling thread (Linux); false elsewhere
 /// or on failure.  Exposed for the bench harness.
 bool pin_current_thread(unsigned cpu);
+
+/// The synthetic load sources of one workload: cfg.loadgens generators,
+/// generator g drawing from Rng(cfg.seed).fork(100 + g), each running every
+/// class at cfg.lambdas()[c] x `rate_scale` — 1 / loadgens for one node,
+/// nodes / loadgens for a cluster (cfg.load is per-shard utilization).
+/// With a `sink` every arrival goes there; otherwise it sprays over
+/// `shards`.
+std::vector<std::unique_ptr<LoadSource>> make_synthetic_sources(
+    const RtConfig& cfg, double rate_scale, const std::vector<Shard*>& shards,
+    const LoadSource::Sink& sink = {});
+
+/// The windowed ratio statistics of a pool of shards — one node's, or every
+/// node's in a cluster.  Per class c >= 1: the median of the pooled
+/// per-window slowdown ratios vs class 0 (stats/convergence.hpp), its error
+/// against delta_c / delta_0, and — when `onset` is finite — how long the
+/// count-merged windowed ratio took to re-enter and hold the `tol` band
+/// after it.  Reads the servers' closed window series, so only after the
+/// shards were finalized.
+struct WindowRatioStats {
+  std::vector<double> p50;     ///< Per class; NaN for class 0 / no windows.
+  std::vector<double> error;   ///< |p50 / target - 1|; NaN where p50 is.
+  double max_error = kNaN;     ///< Over classes with a p50.
+  std::vector<double> settle;  ///< Per class; NaN without an onset.
+  /// Max over classes; NaN poisons (a class that never re-converged must
+  /// fail a bounded check), NaN without an onset.
+  double max_settle = kNaN;
+};
+WindowRatioStats window_ratio_stats(const std::vector<Shard*>& shards,
+                                    const std::vector<double>& delta,
+                                    double onset, double tol, double period);
 
 }  // namespace psd::rt

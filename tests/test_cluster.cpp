@@ -313,26 +313,5 @@ TEST(Router, LastAliveNodeCannotBeKilled) {
   EXPECT_EQ(r.alive_count(), 2u);
 }
 
-TEST(Router, WorkWeightsFollowThePolicy) {
-  // Uniform policies: equal share over alive nodes, 0 on the dead.
-  AssignmentRouter rr(AssignmentPolicy::kRoundRobin, 4, Rng(7));
-  rr.set_alive(2, false);
-  const auto w = rr.work_weights();
-  EXPECT_DOUBLE_EQ(w[0], 1.0 / 3.0);
-  EXPECT_DOUBLE_EQ(w[2], 0.0);
-
-  // SITA-E: a dead node's equal-load band moves to the node that inherits
-  // it, so that node carries a double share.
-  AssignmentRouter sita(AssignmentPolicy::kSizeInterval, 4, Rng(8),
-                        std::vector<double>{1.0, 2.0, 3.0});
-  sita.set_alive(1, false);
-  const auto ws = sita.work_weights();
-  EXPECT_DOUBLE_EQ(ws[0], 0.25);
-  EXPECT_DOUBLE_EQ(ws[1], 0.0);
-  EXPECT_DOUBLE_EQ(ws[2], 0.50);
-  EXPECT_DOUBLE_EQ(ws[3], 0.25);
-}
-
-
 }  // namespace
 }  // namespace psd

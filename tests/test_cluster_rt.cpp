@@ -151,6 +151,43 @@ TEST(ClusterRt, NodeKillReconvergesWithinSettleBound) {
   EXPECT_LE(r.max_settle_seconds, 3.0);
 }
 
+TEST(ClusterRt, SitaKillKeepsEveryNodeWithinCapacity) {
+  // SITA-E reroutes the dead node's size band wholesale onto one survivor,
+  // so a split that followed the bands would hand that node twice a node's
+  // share of the rates — more than its capacity.  Every alive node gets an
+  // equal capacity share instead, and the run completes.
+  auto cfg = base_cfg({AssignmentPolicy::kSizeInterval});
+  cfg.kill_node = 1;
+  cfg.kill_at = 1.5;
+  rt::ClusterRuntime cluster(cfg, rt::ManualClock());
+  for (double t = 0.0; t < cfg.node.duration; t += kStep) {
+    cluster.step_to(t);
+  }
+  cluster.step_to(cfg.node.duration);
+  cluster.quiesce();
+  cluster.finish();
+  const rt::ClusterReport r = cluster.report();
+
+  EXPECT_FALSE(r.node[1].alive);
+  std::uint64_t dispatched = 0;
+  for (const auto& nd : r.node) dispatched += nd.dispatched;
+  EXPECT_EQ(dispatched, r.produced);
+  EXPECT_GT(r.rebalances, 0u);
+  const double capacity = cfg.node.shard_capacity();
+  for (std::size_t i = 0; i < cluster.nodes(); ++i) {
+    if (!r.node[i].alive) continue;
+    rt::Runtime& node = cluster.node(i).runtime();
+    for (std::size_t s = 0; s < node.num_shards(); ++s) {
+      const rt::ShardSnapshot snap = node.shard(s).snapshot();
+      double total = 0.0;
+      for (std::size_t c = 0; c < cfg.num_classes(); ++c) {
+        total += snap.rate[c];
+      }
+      EXPECT_LE(total, capacity * (1.0 + 1e-9)) << "node " << i;
+    }
+  }
+}
+
 TEST(ClusterRt, KillRejectsBadSchedules) {
   auto cfg = base_cfg({AssignmentPolicy::kRoundRobin});
   cfg.kill_at = 1.0;

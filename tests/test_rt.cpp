@@ -197,10 +197,10 @@ TEST(Controller, ColdStartKeepsEqualSplitThenMatchesEq17) {
   Shard shard(cfg, Rng(1));
   ControllerConfig cc;
   cc.delta = {1.0, 2.0};
-  cc.total_capacity = 1.0;
+  cc.group_capacity = 1.0;
   cc.mean_size = 0.01;
   cc.allocator = AllocatorKind::kPsd;
-  Controller controller(cc, {&shard});
+  Controller controller(cc, {{&shard}});
 
   // Cold: no estimator window closed yet -> no reallocation.
   controller.tick(0.5);
@@ -222,7 +222,7 @@ TEST(Controller, ColdStartKeepsEqualSplitThenMatchesEq17) {
   in.lambda = {30.0, 10.0};
   in.delta = cc.delta;
   in.mean_size = cc.mean_size;
-  in.capacity = cc.total_capacity;
+  in.capacity = cc.group_capacity;
   in.overload = OverloadPolicy::kClamp;
   const auto expected = allocate_psd_rates(in);
   const ControllerSnapshot snap = controller.snapshot();
@@ -233,6 +233,72 @@ TEST(Controller, ColdStartKeepsEqualSplitThenMatchesEq17) {
   // The shard adopts the slice at its next drain.
   shard.drain(1.1);
   EXPECT_NEAR(shard.snapshot().rate[0], expected.rate[0], 1e-12);
+}
+
+TEST(Controller, GroupsSplitRatesAndDropDeadNodes) {
+  // Two groups (nodes) of two shards each: every shard adopts
+  // rate_c * (1 / live groups) * (1 / shards in its group).
+  ShardConfig cfg = two_class_config();
+  Shard a0(cfg, Rng(1)), a1(cfg, Rng(2)), b0(cfg, Rng(3)), b1(cfg, Rng(4));
+  ControllerConfig cc;
+  cc.delta = {1.0, 2.0};
+  cc.group_capacity = 1.0;
+  cc.mean_size = 0.01;
+  cc.allocator = AllocatorKind::kPsd;
+  Controller controller(cc, {{&a0, &a1}, {&b0, &b1}});
+  Shard* shards[] = {&a0, &a1, &b0, &b1};
+
+  // Warm one window: 10/s of class 0 and 5/s of class 1 on every shard.
+  auto feed = [](Shard& shard, Time from) {
+    for (int i = 0; i < 10; ++i) {
+      ASSERT_TRUE(shard.submit(make_request(0, from + i * 0.09, 0.01)));
+    }
+    for (int i = 0; i < 5; ++i) {
+      ASSERT_TRUE(shard.submit(make_request(1, from + i * 0.18, 0.01)));
+    }
+  };
+  for (Shard* s : shards) {
+    feed(*s, 0.0);
+    s->drain(1.0);
+  }
+  controller.tick(1.0);
+  ControllerSnapshot snap = controller.snapshot();
+  ASSERT_EQ(snap.allocations, 1u);
+  EXPECT_DOUBLE_EQ(snap.lambda[0], 40.0);
+  for (Shard* s : shards) {
+    s->drain(1.05);
+    for (std::size_t c = 0; c < 2; ++c) {
+      EXPECT_EQ(s->snapshot().rate[c], snap.rate[c] * 0.5 * 0.5);
+    }
+  }
+  const double old_rate[2] = {b0.snapshot().rate[0], b0.snapshot().rate[1]};
+
+  // Drop group 1 and warm another window on every shard: the allocator
+  // shrinks to one group's capacity, group 0 splits it, and group 1 keeps
+  // its old rates and no longer counts toward lambda.
+  controller.drop_group(1);
+  for (Shard* s : shards) {
+    feed(*s, 1.1);
+    s->drain(2.0);
+  }
+  controller.tick(2.0);
+  snap = controller.snapshot();
+  ASSERT_EQ(snap.allocations, 2u);
+  EXPECT_NEAR(snap.rate[0] + snap.rate[1], cc.group_capacity, 1e-12);
+  EXPECT_DOUBLE_EQ(snap.lambda[0], 20.0);
+  EXPECT_DOUBLE_EQ(snap.lambda[1], 10.0);
+  for (Shard* s : shards) s->drain(2.05);
+  for (Shard* s : {&a0, &a1}) {
+    for (std::size_t c = 0; c < 2; ++c) {
+      EXPECT_EQ(s->snapshot().rate[c], snap.rate[c] * 1.0 * 0.5);
+    }
+  }
+  for (Shard* s : {&b0, &b1}) {
+    for (std::size_t c = 0; c < 2; ++c) {
+      EXPECT_EQ(s->snapshot().rate[c], old_rate[c]);
+    }
+  }
+  EXPECT_THROW(controller.drop_group(0), std::invalid_argument);
 }
 
 // --------------------------------------------------------------- runtime

@@ -75,19 +75,6 @@ TEST(SpecRegistry, AssignmentSpecRoundTrips) {
   expect_roundtrip(AssignmentSpec{AssignmentPolicy::kJsq, 5});
 }
 
-TEST(SpecRegistry, ClusterSpecRoundTrips) {
-  ClusterSpec one;
-  expect_roundtrip(one);
-  ClusterSpec four;
-  four.nodes = 4;
-  four.assignment = {AssignmentPolicy::kJsq, 2};
-  expect_roundtrip(four);
-  ClusterSpec eight;
-  eight.nodes = 8;
-  eight.assignment = AssignmentPolicy::kSizeInterval;
-  expect_roundtrip(eight);
-}
-
 // ----------------------------------------------- historical CLI spellings
 
 TEST(SpecRegistry, AcceptsHistoricalSpellings) {
@@ -112,12 +99,9 @@ TEST(SpecRegistry, AcceptsHistoricalSpellings) {
             AdmissionSpec::Kind::kUtilization);
   EXPECT_EQ(spec::parse<AdmissionSpec>("delta-aware:0.95").threshold, 0.95);
 
-  // Bare "jsq" defaults d = 2; bare "N" keeps default round-robin.
+  // Bare "jsq" defaults d = 2.
   EXPECT_EQ(spec::parse<AssignmentSpec>("jsq"),
             (AssignmentSpec{AssignmentPolicy::kJsq, 2}));
-  const ClusterSpec bare = spec::parse<ClusterSpec>("4");
-  EXPECT_EQ(bare.nodes, 4u);
-  EXPECT_EQ(bare.assignment.policy, AssignmentPolicy::kRoundRobin);
 }
 
 // ------------------------------------------------------------- rejections
@@ -136,8 +120,6 @@ TEST(SpecRegistry, RejectsMalformedInput) {
   EXPECT_THROW(spec::parse<AdmissionSpec>("tokens"), std::invalid_argument);
   EXPECT_THROW(spec::parse<AssignmentSpec>("jsq0"), std::invalid_argument);
   EXPECT_THROW(spec::parse<AssignmentSpec>("sjf"), std::invalid_argument);
-  EXPECT_THROW(spec::parse<ClusterSpec>("0:rr"), std::invalid_argument);
-  EXPECT_THROW(spec::parse<ClusterSpec>("4:sjf"), std::invalid_argument);
 }
 
 TEST(SpecRegistry, HintsNameEveryGrammar) {
@@ -150,8 +132,6 @@ TEST(SpecRegistry, HintsNameEveryGrammar) {
   EXPECT_NE(std::string(spec::hint<AdmissionSpec>()).find("token-bucket"),
             std::string::npos);
   EXPECT_NE(std::string(spec::hint<AssignmentSpec>()).find("jsq"),
-            std::string::npos);
-  EXPECT_NE(std::string(spec::hint<ClusterSpec>()).find("nodes"),
             std::string::npos);
 }
 

@@ -1,13 +1,13 @@
 // Shared command-line parsing for the psd tools (psdsim, psdsweep,
-// psdserved, psdcluster).
+// psdserved).
 //
 // Every numeric conversion validates its input and throws CliError with a
 // one-line message plus a usage hint — a typo'd `--dist bp:x,y,z` or
 // `--classes a,b` must print one helpful line, not terminate() on an
 // unhandled std::invalid_argument from a bare std::stod.
 //
-// Spec-valued flags (--dist, --arrivals, --profile, --admission, --policy,
-// --cluster) all route through the common/spec.hpp registry: parse_spec<S>
+// Spec-valued flags (--dist, --arrivals, --profile, --admission, --policy)
+// all route through the common/spec.hpp registry: parse_spec<S>
 // wraps S::parse with CLI error formatting, so every tool accepts exactly
 // the library grammar and a new spec type needs no per-tool parser.
 #pragma once
@@ -182,12 +182,6 @@ inline ArrivalSpec parse_arrival_spec(const std::string& opt,
 inline AssignmentSpec parse_assignment(const std::string& opt,
                                        const std::string& s) {
   return parse_spec<AssignmentSpec>(opt, s);
-}
-
-/// Cluster topology spec: nodes[:policy] (e.g. 4 | 4:jsq2 | 8:sita).
-inline ClusterSpec parse_cluster(const std::string& opt,
-                                 const std::string& s) {
-  return parse_spec<ClusterSpec>(opt, s);
 }
 
 /// Loads may be given as fractions (0.6) or percents (60); anything > 1 is
