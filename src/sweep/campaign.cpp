@@ -1,5 +1,6 @@
 #include "sweep/campaign.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <fstream>
@@ -13,6 +14,51 @@
 #include "sweep/jsonl.hpp"
 
 namespace psd {
+
+namespace {
+
+/// One pool task: replications first_run .. first_run + runs - 1 of a
+/// point; more than one is a lane group on the lockstep kernel.
+struct CampaignTask {
+  std::size_t point = 0;
+  std::size_t first_run = 0;
+  std::size_t runs = 1;
+  double cost = 0.0;  ///< Expected arrivals, the task's relative cost.
+};
+
+/// Expected arrivals of `runs` replications of `cfg`, up to the factor
+/// capacity / E[size] that a grid's points mostly share: runs x load x
+/// nodes x (warmup + measurement).  It only orders tasks; no result depends
+/// on it.
+double expected_arrivals(const ScenarioConfig& cfg, std::size_t runs) {
+  return static_cast<double>(runs) * cfg.load *
+         static_cast<double>(cfg.cluster_nodes) *
+         (cfg.warmup_tu + cfg.measure_tu);
+}
+
+/// Tasks start in grid order so records stream out while the sweep runs.
+/// The final wave is the exception: the longest suffix whose costs sum to
+/// at most 2 x workers x its largest cost goes largest-first (stable), so a
+/// heavy task does not start last and run alone while the other workers
+/// idle.
+void order_final_wave(std::vector<CampaignTask>& tasks, std::size_t workers) {
+  const double budget_per_largest = 2.0 * static_cast<double>(workers);
+  double sum = 0.0;
+  double largest = 0.0;
+  std::size_t wave = tasks.size();
+  for (std::size_t j = tasks.size(); j-- > 0;) {
+    sum += tasks[j].cost;
+    largest = std::max(largest, tasks[j].cost);
+    if (sum <= budget_per_largest * largest) wave = j;
+  }
+  std::stable_sort(tasks.begin() + static_cast<std::ptrdiff_t>(wave),
+                   tasks.end(),
+                   [](const CampaignTask& a, const CampaignTask& b) {
+                     return a.cost > b.cost;
+                   });
+}
+
+}  // namespace
 
 std::string render_point_record(const CampaignPoint& point,
                                 const ReplicatedResult& result,
@@ -138,6 +184,10 @@ CampaignResult run_campaign(
 
   std::ofstream jsonl;
   if (!options.jsonl_path.empty()) {
+    // A killed run can leave its last record without a newline; the resume
+    // loader did not count it, and appending onto it would glue the next
+    // record to the torn one.
+    if (options.resume) trim_torn_tail(options.jsonl_path);
     // resume=false starts the artifact over: appending would leave two
     // records per key for the same master seed and double-count points in
     // any downstream grouping.
@@ -183,6 +233,19 @@ CampaignResult run_campaign(
     }
   };
 
+  // Task granularity: one replication per task, or — in lockstep mode, for
+  // a point the lockstep kernel runs — one lane group of up to
+  // `lockstep_lanes` replications per task (the last group of a point takes
+  // the ragged tail).  Other points gain nothing from grouping, and a group
+  // of them would run its replications one after another in one task.
+  // Group tasks land their lanes in the same reps slots a per-task campaign
+  // would fill, so aggregation — and with it every record byte — is
+  // unchanged.
+  const std::size_t lanes =
+      options.replication_mode == ReplicationMode::kLockstep
+          ? options.lockstep_lanes
+          : std::size_t{1};
+  std::vector<CampaignTask> tasks;
   for (std::size_t i = 0; i < points.size(); ++i) {
     PointOutcome& po = out.points[i];
     po.point = points[i];
@@ -200,71 +263,67 @@ CampaignResult run_campaign(
     state[i].reps.resize(options.runs);
     state[i].remaining.store(options.runs, std::memory_order_relaxed);
 
-    // Task granularity: one replication per task (per-task mode), or one
-    // lane-group of up to `lockstep_lanes` replications per task (lockstep
-    // mode; the last group of a point takes the ragged tail).  Group tasks
-    // land their lanes in the same reps slots a per-task campaign would
-    // fill, so aggregation — and with it every record byte — is unchanged.
     const std::size_t group =
-        options.replication_mode == ReplicationMode::kLockstep
-            ? std::max<std::size_t>(std::size_t{1}, options.lockstep_lanes)
-            : std::size_t{1};
-
+        lanes > 1 && lockstep_eligible(points[i].cfg) ? lanes : std::size_t{1};
     for (std::size_t r0 = 0; r0 < options.runs; r0 += group) {
       const std::size_t count = std::min(group, options.runs - r0);
-      pool->submit([&, i, r0, count, group] {
-        PointState& st = state[i];
-        PointOutcome& outcome = out.points[i];
-        const auto rep0 = std::chrono::steady_clock::now();
-        try {
-          ScenarioConfig cfg = outcome.point.cfg;
-          cfg.seed = outcome.point_seed;
-          if (count == 1 && group == 1) {
-            st.reps[r0] = run_scenario(cfg, r0);
-          } else {
-            auto lanes = run_scenario_lanes(cfg, r0, count);
-            for (std::size_t j = 0; j < count; ++j) {
-              st.reps[r0 + j] = std::move(lanes[j]);
-            }
-          }
-        } catch (const std::exception& e) {
-          std::lock_guard<std::mutex> lk(emit_m);
-          if (st.error.empty()) {
-            st.error = outcome.point.label + ": " + e.what();
-          }
-        }
-        st.rep_ns.fetch_add(
-            static_cast<std::uint64_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    std::chrono::steady_clock::now() - rep0)
-                    .count()),
-            std::memory_order_relaxed);
-        if (gauge != nullptr) gauge->replications.add(count);
-        if (st.remaining.fetch_sub(count, std::memory_order_acq_rel) ==
-            count) {
-          // Last replication of this point: aggregate + render + release.
-          if (gauge != nullptr) gauge->executed.add();
-          outcome.wall_ms =
-              static_cast<double>(st.rep_ns.load(std::memory_order_relaxed)) *
-              1e-6;
-          std::lock_guard<std::mutex> lk(emit_m);
-          if (st.error.empty()) {
-            outcome.result =
-                aggregate_replications(outcome.point.cfg, st.reps);
-            outcome.record = render_point_record(
-                outcome.point, outcome.result, options.master_seed,
-                outcome.point_seed, options.runs, outcome.wall_ms,
-                options.timing);
-          } else if (first_error.empty()) {
-            first_error = st.error;
-          }
-          st.reps.clear();
-          st.reps.shrink_to_fit();
-          ready.emplace(i, &outcome);
-          release_ready();
-        }
-      });
+      tasks.push_back({i, r0, count, expected_arrivals(points[i].cfg, count)});
     }
+  }
+  order_final_wave(tasks, pool->worker_count());
+
+  for (const CampaignTask& task : tasks) {
+    pool->submit([&, task] {
+      PointState& st = state[task.point];
+      PointOutcome& outcome = out.points[task.point];
+      const auto rep0 = std::chrono::steady_clock::now();
+      try {
+        ScenarioConfig cfg = outcome.point.cfg;
+        cfg.seed = outcome.point_seed;
+        if (task.runs > 1) {
+          auto reps = run_scenario_lanes(cfg, task.first_run, task.runs);
+          for (std::size_t j = 0; j < task.runs; ++j) {
+            st.reps[task.first_run + j] = std::move(reps[j]);
+          }
+        } else {
+          st.reps[task.first_run] = run_scenario(cfg, task.first_run);
+        }
+      } catch (const std::exception& e) {
+        std::lock_guard<std::mutex> lk(emit_m);
+        if (st.error.empty()) {
+          st.error = outcome.point.label + ": " + e.what();
+        }
+      }
+      st.rep_ns.fetch_add(
+          static_cast<std::uint64_t>(
+              std::chrono::duration_cast<std::chrono::nanoseconds>(
+                  std::chrono::steady_clock::now() - rep0)
+                  .count()),
+          std::memory_order_relaxed);
+      if (gauge != nullptr) gauge->replications.add(task.runs);
+      if (st.remaining.fetch_sub(task.runs, std::memory_order_acq_rel) ==
+          task.runs) {
+        // Last replication of this point: aggregate + render + release.
+        if (gauge != nullptr) gauge->executed.add();
+        outcome.wall_ms =
+            static_cast<double>(st.rep_ns.load(std::memory_order_relaxed)) *
+            1e-6;
+        std::lock_guard<std::mutex> lk(emit_m);
+        if (st.error.empty()) {
+          outcome.result = aggregate_replications(outcome.point.cfg, st.reps);
+          outcome.record = render_point_record(
+              outcome.point, outcome.result, options.master_seed,
+              outcome.point_seed, options.runs, outcome.wall_ms,
+              options.timing);
+        } else if (first_error.empty()) {
+          first_error = st.error;
+        }
+        st.reps.clear();
+        st.reps.shrink_to_fit();
+        ready.emplace(task.point, &outcome);
+        release_ready();
+      }
+    });
   }
 
   pool->wait_idle();

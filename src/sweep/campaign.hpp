@@ -1,5 +1,5 @@
 // Campaign engine: execute an expanded grid as scenarios x replications on
-// one shared work-stealing pool, stream schema'd JSONL records, and skip
+// one shared FIFO thread pool, stream schema'd JSONL records, and skip
 // already-completed points on re-run.
 //
 // Determinism contract: every point's seed is derive_point_seed(master,
@@ -8,9 +8,11 @@
 // the default JSONL bytes) are identical whatever the thread count or
 // execution interleaving.  Records are emitted in expansion order even
 // though points complete out of order (completed records buffer until their
-// turn).  Per-point wall time is measured but only written when
-// options.timing is set, because timing is the one field that cannot be
-// deterministic.
+// turn).  Tasks are submitted in expansion order too, apart from a final
+// wave of the heaviest, so records stream out while the campaign runs and a
+// killed run leaves a resumable prefix.  Per-point wall time is measured but
+// only written when options.timing is set, because timing is the one field
+// that cannot be deterministic.
 #pragma once
 
 #include <cstdint>
@@ -34,12 +36,13 @@ struct CampaignOptions {
   /// master seed.  false: truncate jsonl_path and run every point.
   bool resume = true;
   bool timing = false;              ///< Add wall_ms (breaks byte-identity).
-  /// Execution mode (experiment/runner.hpp).  kLockstep schedules each
-  /// point's replications as lane-groups of `lockstep_lanes` — one pool
-  /// task per group, run on the lane-stepped batch kernel where the config
-  /// is eligible (per-lane path otherwise).  Pure execution option: keys,
-  /// derived seeds, resume identity and JSONL bytes are identical across
-  /// modes (lockstep lanes are bitwise-equal to per-task replications).
+  /// Execution mode (experiment/runner.hpp).  kLockstep schedules the
+  /// replications of each point the lane-stepped batch kernel runs
+  /// (lockstep_eligible) as lane-groups of `lockstep_lanes`, one pool task
+  /// per group; other points keep one task per replication.  Pure
+  /// execution option: keys, derived seeds, resume identity and JSONL bytes
+  /// are identical across modes (lockstep lanes are bitwise-equal to
+  /// per-task replications).
   ReplicationMode replication_mode = ReplicationMode::kPerTask;
   std::size_t lockstep_lanes = 8;   ///< Lane-group width K for kLockstep.
 };

@@ -1,8 +1,13 @@
 #include "sweep/jsonl.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <string_view>
+
+#include "common/error.hpp"
 
 namespace psd {
 
@@ -96,6 +101,9 @@ std::unordered_set<std::string> load_completed_keys(
   const std::string key_marker = "\"key\":\"";
   std::string line;
   while (std::getline(in, line)) {
+    // getline stops at end of file without failing when the last line has
+    // no '\n': that line is torn, not a completed record.
+    if (in.eof()) break;
     // The seed match must not be a prefix of a longer number (seed 4 vs 42).
     const auto sp = line.find(seed_marker);
     if (sp == std::string::npos) continue;
@@ -111,6 +119,33 @@ std::unordered_set<std::string> load_completed_keys(
     keys.insert(line.substr(start, end - start));
   }
   return keys;
+}
+
+void trim_torn_tail(const std::string& path) {
+  std::error_code ec;
+  const std::uintmax_t size = std::filesystem::file_size(path, ec);
+  if (ec || size == 0) return;
+  std::ifstream in(path, std::ios::binary);
+  PSD_REQUIRE(static_cast<bool>(in), "cannot read campaign JSONL: " + path);
+  // Scan back from the end, one block at a time, for the last newline.
+  char block[4096];
+  std::uintmax_t keep = size;
+  while (keep > 0) {
+    const std::uintmax_t n = std::min<std::uintmax_t>(keep, sizeof(block));
+    in.seekg(static_cast<std::streamoff>(keep - n));
+    in.read(block, static_cast<std::streamsize>(n));
+    PSD_REQUIRE(static_cast<bool>(in), "cannot read campaign JSONL: " + path);
+    const auto nl =
+        std::string_view(block, static_cast<std::size_t>(n)).rfind('\n');
+    keep -= n;
+    if (nl != std::string_view::npos) {
+      keep += nl + 1;
+      break;
+    }
+  }
+  if (keep == size) return;
+  in.close();
+  std::filesystem::resize_file(path, keep);
 }
 
 }  // namespace psd

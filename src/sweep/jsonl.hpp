@@ -5,7 +5,7 @@
 // (shortest exact round-trip bound) and non-finite values become null
 // (JSON has no NaN/inf).  Reading: resume only needs two fields per line
 // ("key", "master_seed"), so the loader is a tolerant string scan rather
-// than a full parser — foreign or truncated lines are skipped.
+// than a full parser — foreign, malformed and torn lines are skipped.
 #pragma once
 
 #include <cstdint>
@@ -57,8 +57,15 @@ class JsonObject {
 std::string json_array(const std::vector<double>& v);
 
 /// Scan a JSONL file for records carrying `"master_seed":<seed>` and return
-/// the set of their `"key"` values.  Missing file => empty set.
+/// the set of their `"key"` values.  A final line without its '\n' is a
+/// record torn by a killed writer and does not count.  Missing file =>
+/// empty set.
 std::unordered_set<std::string> load_completed_keys(const std::string& path,
                                                     std::uint64_t master_seed);
+
+/// Cut the file at `path` back to just after its last '\n', dropping a torn
+/// final line so that the next appended record starts on a line of its own.
+/// A missing file or one that ends in '\n' is left as it is.
+void trim_torn_tail(const std::string& path);
 
 }  // namespace psd

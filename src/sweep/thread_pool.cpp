@@ -1,5 +1,6 @@
 #include "sweep/thread_pool.hpp"
 
+#include <algorithm>
 #include <chrono>
 
 #include "common/error.hpp"
@@ -8,10 +9,9 @@ namespace psd {
 
 namespace {
 
-// Which pool (if any) the current thread belongs to, and its worker index;
-// lets nested submits go to the submitting worker's own deque.
+// Which pool (if any) the current thread works for; wait_idle() from one of
+// its own tasks would wait for itself.
 thread_local const WorkStealingPool* tl_pool = nullptr;
-thread_local std::size_t tl_index = 0;
 
 }  // namespace
 
@@ -19,20 +19,16 @@ WorkStealingPool::WorkStealingPool(std::size_t workers) {
   if (workers == 0) {
     workers = std::max(1u, std::thread::hardware_concurrency());
   }
-  queues_.reserve(workers);
-  for (std::size_t i = 0; i < workers; ++i) {
-    queues_.push_back(std::make_unique<Worker>());
-  }
   workers_.reserve(workers);
   for (std::size_t i = 0; i < workers; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i); });
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
 WorkStealingPool::~WorkStealingPool() {
   wait_idle();
   {
-    std::lock_guard<std::mutex> lk(state_m_);
+    std::lock_guard<std::mutex> lk(m_);
     stop_ = true;
   }
   work_cv_.notify_all();
@@ -42,98 +38,49 @@ WorkStealingPool::~WorkStealingPool() {
 void WorkStealingPool::submit(std::function<void()> task) {
   PSD_REQUIRE(task != nullptr, "cannot submit an empty task");
   {
-    // queued_ and the deque push update together under state_m_: counting
-    // first-then-publishing would let a woken worker observe queued_ > 0
-    // with every deque still empty and busy-spin through its wait
-    // predicate until the push lands; publishing first would let a fast
-    // worker decrement queued_ below zero.  (Workers take a deque mutex
-    // only with state_m_ released, so the nesting here cannot deadlock.)
-    std::lock_guard<std::mutex> lk(state_m_);
-    ++queued_;
-    std::size_t target;
-    if (tl_pool == this) {
-      target = tl_index;  // nested submit: stay local, stealers balance it
-    } else {
-      target = submit_rr_;
-      submit_rr_ = (submit_rr_ + 1) % queues_.size();
-    }
-    std::lock_guard<std::mutex> qlk(queues_[target]->m);
-    queues_[target]->deque.push_back(std::move(task));
+    std::lock_guard<std::mutex> lk(m_);
+    queue_.push_back(std::move(task));
   }
   work_cv_.notify_one();
 }
 
-bool WorkStealingPool::try_acquire(std::size_t self,
-                                   std::function<void()>& task, bool& stolen) {
-  {  // own deque: back (LIFO keeps nested work warm)
-    std::lock_guard<std::mutex> lk(queues_[self]->m);
-    if (!queues_[self]->deque.empty()) {
-      task = std::move(queues_[self]->deque.back());
-      queues_[self]->deque.pop_back();
-      stolen = false;
-      return true;
-    }
-  }
-  for (std::size_t off = 1; off < queues_.size(); ++off) {
-    const std::size_t victim = (self + off) % queues_.size();
-    std::lock_guard<std::mutex> lk(queues_[victim]->m);
-    if (!queues_[victim]->deque.empty()) {
-      task = std::move(queues_[victim]->deque.front());
-      queues_[victim]->deque.pop_front();
-      stolen = true;
-      return true;
-    }
-  }
-  return false;
-}
-
-void WorkStealingPool::worker_loop(std::size_t index) {
+void WorkStealingPool::worker_loop() {
   tl_pool = this;
-  tl_index = index;
+  std::unique_lock<std::mutex> lk(m_);
   for (;;) {
-    std::function<void()> task;
-    bool stolen = false;
-    if (try_acquire(index, task, stolen)) {
-      {
-        std::lock_guard<std::mutex> lk(state_m_);
-        --queued_;
-        ++in_flight_;
-        if (stolen) ++stolen_;
-      }
-      const auto start = std::chrono::steady_clock::now();
-      task();
-      const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                          std::chrono::steady_clock::now() - start)
-                          .count();
-      bool all_done;
-      {
-        std::lock_guard<std::mutex> lk(state_m_);
-        --in_flight_;
-        ++executed_;
-        busy_ns_ += static_cast<std::uint64_t>(ns);
-        all_done = queued_ == 0 && in_flight_ == 0;
-      }
-      if (all_done) idle_cv_.notify_all();
-      continue;
-    }
-    std::unique_lock<std::mutex> lk(state_m_);
-    work_cv_.wait(lk, [&] { return stop_ || queued_ > 0; });
-    if (stop_ && queued_ == 0) return;
+    work_cv_.wait(lk, [&] { return stop_ || !queue_.empty(); });
+    if (queue_.empty()) return;  // stop_ with nothing left to run
+    std::function<void()> task = std::move(queue_.front());
+    queue_.pop_front();
+    ++in_flight_;
+    lk.unlock();
+
+    const auto start = std::chrono::steady_clock::now();
+    task();
+    const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                        std::chrono::steady_clock::now() - start)
+                        .count();
+    task = nullptr;  // release the task's captures outside the lock
+
+    lk.lock();
+    --in_flight_;
+    ++executed_;
+    busy_ns_ += static_cast<std::uint64_t>(ns);
+    if (queue_.empty() && in_flight_ == 0) idle_cv_.notify_all();
   }
 }
 
 void WorkStealingPool::wait_idle() {
   PSD_REQUIRE(tl_pool != this,
               "wait_idle() called from inside a pool task (would deadlock)");
-  std::unique_lock<std::mutex> lk(state_m_);
-  idle_cv_.wait(lk, [&] { return queued_ == 0 && in_flight_ == 0; });
+  std::unique_lock<std::mutex> lk(m_);
+  idle_cv_.wait(lk, [&] { return queue_.empty() && in_flight_ == 0; });
 }
 
 WorkStealingPool::Stats WorkStealingPool::stats() const {
-  std::lock_guard<std::mutex> lk(state_m_);
+  std::lock_guard<std::mutex> lk(m_);
   Stats s;
   s.executed = executed_;
-  s.stolen = stolen_;
   s.busy_seconds = static_cast<double>(busy_ns_) * 1e-9;
   return s;
 }

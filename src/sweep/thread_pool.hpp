@@ -1,16 +1,23 @@
-// Work-stealing thread pool shared by an entire campaign: every
-// (scenario point, replication) pair becomes one task, so a 200-point grid
-// saturates all cores instead of serializing scenarios and parallelizing
-// only within one (the run_replications bottleneck this subsystem replaces).
+// Thread pool shared by an entire campaign: every (scenario point,
+// replication) pair — or lane group of replications — becomes one task, so a
+// 200-point grid saturates all cores instead of serializing scenarios and
+// parallelizing only within one (the run_replications bottleneck this
+// subsystem replaces).
 //
-// Design: one deque per worker, LIFO pop from the owner's back, FIFO steal
-// from a victim's front (the classic Blumofe/Leiserson discipline).  Tasks
-// here are coarse — a full scenario replication runs for milliseconds to
-// seconds — so the deques are mutex-guarded rather than lock-free; the
-// steal path's cost is noise next to the work it moves.  Determinism is the
-// caller's job: campaign tasks write into preassigned slots and every
-// scenario derives its seed from config content, so results are identical
-// whatever the steal order.
+// Design: one mutex-guarded FIFO queue, so workers start tasks in the order
+// they were submitted.  A campaign releases its records in grid order, and
+// each record waits for every earlier point; starting tasks in submission
+// order lets a record leave as soon as its own point and the points before
+// it are done instead of at the end of the campaign.  Campaign tasks never
+// nest, so nothing here needs the newest-first order of fork-join
+// work-stealing, which would run the first points last.  Tasks are coarse — a
+// replication runs for milliseconds to seconds — so one lock is noise next
+// to the work it hands out.  Determinism is the caller's job: campaign tasks
+// write into preassigned slots and every scenario derives its seed from
+// config content, so results are identical whatever the interleaving.
+//
+// The type keeps its historical name because the benchmark program in
+// psdbench/ constructs it by that name.
 #pragma once
 
 #include <condition_variable>
@@ -34,8 +41,9 @@ class WorkStealingPool {
   WorkStealingPool(const WorkStealingPool&) = delete;
   WorkStealingPool& operator=(const WorkStealingPool&) = delete;
 
-  /// Enqueue a task.  Safe from any thread; a task may submit more tasks
-  /// (they land on the submitting worker's own deque).
+  /// Enqueue a task at the back of the queue.  Safe from any thread; a task
+  /// may submit more tasks.  Tasks must not throw (an escaping exception
+  /// ends the program, as it does for any std::thread).
   void submit(std::function<void()> task);
 
   /// Block until every submitted task (including ones submitted by running
@@ -46,36 +54,25 @@ class WorkStealingPool {
 
   struct Stats {
     std::uint64_t executed = 0;  ///< Tasks run to completion.
-    std::uint64_t stolen = 0;    ///< Tasks taken from another worker's deque.
     double busy_seconds = 0.0;   ///< Summed task execution time, all workers.
   };
   Stats stats() const;
 
  private:
-  struct Worker {
-    mutable std::mutex m;
-    std::deque<std::function<void()>> deque;
-  };
+  void worker_loop();
 
-  void worker_loop(std::size_t index);
-  bool try_acquire(std::size_t self, std::function<void()>& task,
-                   bool& stolen);
-
-  std::vector<std::unique_ptr<Worker>> queues_;
-  std::vector<std::thread> workers_;
-
-  // Guards the idle/wake protocol and the counters below.
-  mutable std::mutex state_m_;
-  std::condition_variable work_cv_;   ///< Workers sleep here.
-  std::condition_variable idle_cv_;   ///< wait_idle sleeps here.
-  std::size_t queued_ = 0;            ///< Submitted, not yet dequeued.
-  std::size_t in_flight_ = 0;         ///< Dequeued, still executing.
+  // Guards the queue, the idle/wake protocol and the counters below.
+  mutable std::mutex m_;
+  std::deque<std::function<void()>> queue_;
+  std::condition_variable work_cv_;  ///< Workers sleep here.
+  std::condition_variable idle_cv_;  ///< wait_idle sleeps here.
+  std::size_t in_flight_ = 0;        ///< Dequeued, still executing.
   bool stop_ = false;
-
   std::uint64_t executed_ = 0;
-  std::uint64_t stolen_ = 0;
   std::uint64_t busy_ns_ = 0;
-  std::size_t submit_rr_ = 0;  ///< Round-robin target for external submits.
+
+  // Last: the workers use every member above.
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace psd

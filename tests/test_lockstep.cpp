@@ -310,5 +310,28 @@ TEST(Lockstep, CampaignRecordsByteIdenticalAcrossModes) {
   }
 }
 
+TEST(Lockstep, CampaignRunsIneligiblePointsOneTaskPerReplication) {
+  // Grouping a point the kernel does not run would only serialize its
+  // replications inside one task; the campaign gives each its own task.
+  GridSpec grid = small_grid();
+  grid.loads = {0.6};
+  grid.backends = {BackendKind::kLottery};
+  CampaignOptions per_task;
+  per_task.runs = 5;
+  CampaignOptions lockstep = per_task;
+  lockstep.replication_mode = ReplicationMode::kLockstep;
+  lockstep.lockstep_lanes = 8;
+
+  WorkStealingPool pool(2);
+  const auto a = run_campaign(grid, per_task, &pool);
+  const auto tasks_before = pool.stats().executed;
+  const auto b = run_campaign(grid, lockstep, &pool);
+  EXPECT_EQ(pool.stats().executed - tasks_before, per_task.runs);
+  ASSERT_EQ(a.points.size(), 1u);
+  ASSERT_EQ(b.points.size(), 1u);
+  EXPECT_FALSE(b.points[0].record.empty());
+  EXPECT_EQ(a.points[0].record, b.points[0].record);
+}
+
 }  // namespace
 }  // namespace psd

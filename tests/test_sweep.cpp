@@ -1,10 +1,12 @@
 // Campaign engine: grid expansion/dedup, content hashing, seed derivation,
-// JSONL schema and byte-determinism across thread counts, resume-by-key,
-// cluster-axis execution.
+// JSONL schema and byte-determinism across thread counts, resume-by-key
+// (also after a torn last record), in-order streaming and the final-wave
+// task order, cluster-axis execution.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -214,6 +216,28 @@ TEST(Campaign, RerunSkipsCompletedPoints) {
   EXPECT_EQ(third.skipped, 4u);
 }
 
+TEST(Campaign, ResumeAfterTornLastRecordMatchesUninterruptedRun) {
+  // A run killed mid-write leaves its last record without a newline.  The
+  // resume must not count that point, must cut the torn bytes, and must end
+  // with the bytes of a run that was never interrupted.
+  TempFile f("test_sweep_torn.jsonl");
+  CampaignOptions opt;
+  opt.runs = 2;
+  opt.jsonl_path = f.path;
+  (void)run_campaign(tiny_grid(), opt);
+  const auto bytes = read_file(f.path);
+  const auto first_nl = bytes.find('\n');
+  const auto second_nl = bytes.find('\n', first_nl + 1);
+  ASSERT_NE(second_nl, std::string::npos);
+  const auto cut = first_nl + 1 + (second_nl - first_nl) / 2;  // mid-record 2
+  std::filesystem::resize_file(f.path, cut);
+
+  const auto r = run_campaign(tiny_grid(), opt);
+  EXPECT_EQ(r.skipped, 1u);
+  EXPECT_EQ(r.executed, 3u);
+  EXPECT_EQ(read_file(f.path), bytes);
+}
+
 TEST(Campaign, DifferentMasterSeedDoesNotResume) {
   TempFile f("test_sweep_seedmix.jsonl");
   CampaignOptions opt;
@@ -301,6 +325,69 @@ TEST(Campaign, OnPointFiresInExpansionOrder) {
   for (std::size_t i = 0; i < seen.size(); ++i) {
     EXPECT_EQ(seen[i], r.points[i].point.key);
   }
+}
+
+// Points whose tasks all cost the same: one load, six weight vectors.
+GridSpec equal_cost_grid() {
+  GridSpec grid;
+  grid.base.warmup_tu = 200.0;
+  grid.base.measure_tu = 1500.0;
+  grid.loads = {0.5};
+  grid.deltas = {{1.0, 2.0}, {1.0, 3.0}, {1.0, 4.0},
+                 {1.0, 5.0}, {1.0, 6.0}, {1.0, 8.0}};
+  return grid;
+}
+
+TEST(Campaign, StreamsRecordsBeforeLaterPointsRun) {
+  // One worker starts tasks in grid order (equal costs keep the stable
+  // final wave in grid order too), so point i's record leaves as soon as
+  // its own replications are done, before any later point has run one.
+  for (const auto mode : {ReplicationMode::kPerTask,
+                          ReplicationMode::kLockstep}) {
+    SCOPED_TRACE(mode == ReplicationMode::kPerTask ? "per-task" : "lockstep");
+    WorkStealingPool pool(1);
+    CampaignOptions opt;
+    opt.runs = 4;
+    opt.replication_mode = mode;
+    opt.lockstep_lanes = 2;  // two equal groups per point
+    CampaignGauge gauge;
+    std::vector<std::uint64_t> reps_at_release;
+    const auto r = run_campaign(
+        equal_cost_grid(), opt, &pool,
+        [&](const PointOutcome&) {
+          reps_at_release.push_back(gauge.replications.get());
+        },
+        &gauge);
+    ASSERT_EQ(r.points.size(), 6u);
+    ASSERT_EQ(reps_at_release.size(), 6u);
+    for (std::size_t i = 0; i < reps_at_release.size(); ++i) {
+      EXPECT_EQ(reps_at_release[i], (i + 1) * opt.runs) << "point " << i;
+    }
+  }
+}
+
+TEST(Campaign, FinalWaveStartsLargestFirst) {
+  // Costs 1..5 (x load 0.1) on one worker: the final wave is the longest
+  // suffix whose costs sum to at most 2 x 1 x its largest — loads 0.4 and
+  // 0.5 (9 <= 10; adding 0.3 makes 12).  It starts largest-first, so 0.5
+  // runs before 0.4: when the 0.4 record leaves, all five points are done.
+  // The earlier points run in grid order.
+  GridSpec grid;
+  grid.base.warmup_tu = 200.0;
+  grid.base.measure_tu = 1500.0;
+  grid.loads = {0.1, 0.2, 0.3, 0.4, 0.5};
+  WorkStealingPool pool(1);
+  CampaignOptions opt;
+  opt.runs = 1;
+  CampaignGauge gauge;
+  std::vector<std::uint64_t> done_at_release;
+  (void)run_campaign(
+      grid, opt, &pool,
+      [&](const PointOutcome&) {
+        done_at_release.push_back(gauge.executed.get());
+      },
+      &gauge);
+  EXPECT_EQ(done_at_release, (std::vector<std::uint64_t>{1, 2, 3, 5, 5}));
 }
 
 TEST(Campaign, ClusterAxisRunsMultiNodePoints) {
@@ -404,11 +491,21 @@ TEST(Jsonl, LoaderIgnoresForeignAndMalformedLines) {
     out << "not json at all\n";
     out << "{\"master_seed\":42}\n";  // no key
     out << "{\"key\":\"cccc\",\"master_seed\":7}\n";
+    out << "{\"key\":\"dddd\",\"master_seed\":42";  // torn: no newline
   }
   const auto keys = load_completed_keys(f.path, 42);
   EXPECT_EQ(keys.size(), 1u);
   EXPECT_TRUE(keys.count("aaaa"));
   EXPECT_TRUE(load_completed_keys("does_not_exist.jsonl", 42).empty());
+
+  // Trimming cuts exactly the torn line and leaves a whole file alone.
+  const auto before = read_file(f.path);
+  trim_torn_tail(f.path);
+  const auto after = read_file(f.path);
+  EXPECT_EQ(after, before.substr(0, before.rfind('\n') + 1));
+  trim_torn_tail(f.path);
+  EXPECT_EQ(read_file(f.path), after);
+  trim_torn_tail("does_not_exist.jsonl");
 }
 
 }  // namespace

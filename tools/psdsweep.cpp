@@ -1,15 +1,17 @@
 // psdsweep — declarative campaign driver over the sweep engine.
 //
-//   psdsweep --loads 30,60,90 --backends dedicated,sfq,lottery \
-//            --runs 8 --out campaign.jsonl
+//   psdsweep --loads 30,60,90 --backends dedicated,sfq,lottery --runs 8
+//            --out campaign.jsonl
 //   psdsweep --spec campaigns/fig05_fig09.spec
 //   psdsweep --spec campaigns/abl01.spec --runs 4 --out abl01.jsonl
 //
 // Expands the grid (axes cross; loads vary fastest), executes scenarios x
-// replications on one shared work-stealing pool, and streams one JSONL
-// record per grid point.  Re-running with the same --out skips points whose
-// key (config content hash) is already present for the same master seed.
-// Fixed seed => byte-identical records, regardless of --threads.
+// replications on one shared FIFO thread pool, and streams one JSONL record
+// per grid point in grid order while the campaign runs.  Re-running with the
+// same --out skips points whose key (config content hash) is already present
+// for the same master seed, so a killed run resumes where it stopped; a
+// record the kill left half-written is cut and re-run.  Fixed seed =>
+// byte-identical records, regardless of --threads.
 #include <atomic>
 #include <chrono>
 #include <cmath>
