@@ -257,26 +257,24 @@ ClusterReport ClusterRuntime::run() {
   std::atomic<bool> stop_gen{false};
   std::atomic<bool> stop_rest{false};
   std::atomic<bool> kill_requested{false};
-  // Per-node stop flags so a mid-run kill can stop just that node's shard
-  // threads while the rest of the cluster keeps serving.
-  std::unique_ptr<std::atomic<bool>[]> node_stop(
-      new std::atomic<bool>[num_nodes]);
-  for (std::size_t i = 0; i < num_nodes; ++i) node_stop[i].store(false);
 
+  // Shard threads stop per shard (Shard::request_stop), so a mid-run kill
+  // stops just that node's while the rest of the cluster keeps serving.
   std::vector<std::vector<std::thread>> node_threads(num_nodes);
   for (std::size_t i = 0; i < num_nodes; ++i) {
-    for (std::size_t s = 0; s < handles_[i].num_shards(); ++s) {
-      node_threads[i].emplace_back([this, i, s, &node_stop, &stop_rest] {
-        Shard& sh = handles_[i].runtime().shard(s);
-        while (!stop_rest.load(std::memory_order_acquire) &&
-               !node_stop[i].load(std::memory_order_acquire)) {
-          if (sh.drain(clock_.now()) == 0) {
-            std::this_thread::sleep_for(std::chrono::microseconds(100));
-          }
-        }
-      });
+    for (std::size_t s = 0; s < nodes_[i]->num_shards(); ++s) {
+      node_threads[i].emplace_back(
+          [this, i, s] { nodes_[i]->shard(s).serve(clock_); });
     }
   }
+  auto stop_node = [this, &node_threads](std::size_t i) {
+    for (std::size_t s = 0; s < nodes_[i]->num_shards(); ++s) {
+      nodes_[i]->shard(s).request_stop();
+    }
+    for (auto& t : node_threads[i]) {
+      if (t.joinable()) t.join();  // The killed node's are already joined.
+    }
+  };
   std::vector<std::thread> threads;
   threads.reserve(gens_.size() + 1);
   for (std::size_t g = 0; g < gens_.size(); ++g) {
@@ -297,17 +295,21 @@ ClusterReport ClusterRuntime::run() {
   // kill: topology changes live on this thread so the router's alive mask
   // has exactly one writer (dispatch reads it under the dispatch mutex).
   threads.emplace_back([this, num_nodes, &stop_rest, &kill_requested,
-                        &node_stop, &node_threads] {
+                        &stop_node] {
     Time next_node = cfg_.node.controller_period;
     bool local_killed = false;
     while (!stop_rest.load(std::memory_order_acquire)) {
       if (kill_requested.load(std::memory_order_acquire) && !local_killed) {
         local_killed = true;
         const std::size_t k = cfg_.kill_node;
-        do_kill(k, [&node_stop, &node_threads, k] {
-          node_stop[k].store(true, std::memory_order_release);
-          for (auto& t : node_threads[k]) t.join();
-        });
+        do_kill(k, [&stop_node, k] { stop_node(k); });
+      }
+      // Backstop: a shard parked through pushes due inside its wake window
+      // drains at least once per loop.
+      for (const auto& node : nodes_) {
+        for (std::size_t s = 0; s < node->num_shards(); ++s) {
+          node->shard(s).wake();
+        }
       }
       const Time now = clock_.now();
       if (now >= next_node) {
@@ -349,12 +351,10 @@ ClusterReport ClusterRuntime::run() {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   stop_rest.store(true, std::memory_order_release);
-  for (auto& per_node : node_threads) {
-    for (auto& t : per_node) {
-      if (t.joinable()) t.join();  // The killed node's are already joined.
-    }
-  }
+  // The controller thread first: it may have joined a killed node's shard
+  // threads, and its join orders that before the checks below.
   for (auto& t : threads) t.join();
+  for (std::size_t i = 0; i < num_nodes; ++i) stop_node(i);
 
   run_elapsed_ = clock_.now();
   finish();

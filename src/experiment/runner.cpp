@@ -14,7 +14,6 @@
 #include "common/error.hpp"
 #include "core/psd_allocation.hpp"
 #include "core/psd_rate_allocator.hpp"
-#include "experiment/lockstep.hpp"
 #include "experiment/scenario_build.hpp"
 #include "sched/lottery.hpp"
 #include "sched/sfq.hpp"
@@ -513,47 +512,6 @@ ReplicatedResult run_replications(const ScenarioConfig& cfg, std::size_t runs,
     for (auto& f : futs) f.get();
   } else {
     for (std::size_t r = 0; r < runs; ++r) results[r] = run_scenario(cfg, r);
-  }
-  return aggregate_replications(cfg, results);
-}
-
-ReplicatedResult run_replications(const ScenarioConfig& cfg, std::size_t runs,
-                                  bool parallel,
-                                  const ReplicationPlan& plan) {
-  PSD_REQUIRE(runs > 0, "need at least one run");
-  if (plan.mode == ReplicationMode::kPerTask || plan.lanes <= 1) {
-    return run_replications(cfg, runs, parallel);
-  }
-  const std::size_t lanes = plan.lanes;
-  const std::size_t groups = (runs + lanes - 1) / lanes;
-  std::vector<RunResult> results(runs);
-  auto run_group = [&](std::size_t g) {
-    const std::size_t first = g * lanes;
-    const std::size_t count = std::min(lanes, runs - first);
-    auto group = run_scenario_lanes(cfg, first, count);
-    for (std::size_t j = 0; j < count; ++j) {
-      results[first + j] = std::move(group[j]);
-    }
-  };
-
-  if (parallel && groups > 1) {
-    const std::size_t workers = std::min<std::size_t>(
-        groups, std::max(1u, std::thread::hardware_concurrency()));
-    std::vector<std::future<void>> futs;
-    futs.reserve(workers);
-    std::atomic<std::size_t> next{0};
-    for (std::size_t w = 0; w < workers; ++w) {
-      futs.push_back(std::async(std::launch::async, [&] {
-        for (;;) {
-          const std::size_t g = next.fetch_add(1);
-          if (g >= groups) return;
-          run_group(g);
-        }
-      }));
-    }
-    for (auto& f : futs) f.get();
-  } else {
-    for (std::size_t g = 0; g < groups; ++g) run_group(g);
   }
   return aggregate_replications(cfg, results);
 }

@@ -121,26 +121,13 @@ ReplicatedResult aggregate_replications(const ScenarioConfig& cfg,
 ReplicatedResult run_replications(const ScenarioConfig& cfg, std::size_t runs,
                                   bool parallel = true);
 
-/// How a replication set is executed.  kPerTask (default): one replication
-/// per task — the historical shape.  kLockstep: replications run in groups
-/// of `lanes` inside a single task on the lane-stepped batch kernel
+/// How a campaign executes a point's replications (sweep/campaign.hpp).
+/// kPerTask: one replication per task.  kLockstep: replications run in
+/// groups of lanes inside a single task on the lane-stepped batch kernel
 /// (experiment/lockstep.hpp).  Execution mode only: per-lane results are
 /// bitwise identical to kPerTask at the same derived seeds, so the mode
 /// changes throughput, never numbers.
 enum class ReplicationMode { kPerTask, kLockstep };
-
-struct ReplicationPlan {
-  ReplicationMode mode = ReplicationMode::kPerTask;
-  /// Lane-group width K for kLockstep; a trailing group smaller than K
-  /// (runs % K != 0) runs with the leftover lane count.
-  std::size_t lanes = 8;
-};
-
-/// run_replications with an execution plan; the two-argument form above is
-/// plan {kPerTask}.  Group g covers run indices [g*K, min((g+1)*K, runs)).
-ReplicatedResult run_replications(const ScenarioConfig& cfg, std::size_t runs,
-                                  bool parallel,
-                                  const ReplicationPlan& plan);
 
 /// Replication count for benches: PSD_RUNS env var if set; 8 under
 /// PSD_FAST=1; otherwise `paper_default` (the paper used 100).

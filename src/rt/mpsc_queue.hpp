@@ -16,7 +16,9 @@
 // the release lands).  Per-producer FIFO holds: CAS claims are strictly
 // ordered, so one producer's requests dequeue in the order it pushed them.
 // tests/test_mpsc_queue.cpp exercises exactly these two properties under
-// ThreadSanitizer.
+// ThreadSanitizer.  can_pop() is the consumer's side-effect-free peek: the
+// shard re-checks it after announcing a park, so a push that lands in
+// between is never slept through (rt/shard.hpp).
 #pragma once
 
 #include <atomic>
@@ -82,6 +84,14 @@ class MpscQueue {
     cell.seq.store(dequeue_pos_ + mask_ + 1, std::memory_order_release);
     ++dequeue_pos_;
     return true;
+  }
+
+  /// Consumer only: true when try_pop would succeed.  A cell a producer
+  /// has claimed but not yet released reads as empty, exactly as in
+  /// try_pop; the acquire load pairs with the producer's release.
+  bool can_pop() const {
+    const Cell& cell = cells_[dequeue_pos_ & mask_];
+    return cell.seq.load(std::memory_order_acquire) == dequeue_pos_ + 1;
   }
 
   std::size_t capacity() const { return mask_ + 1; }

@@ -312,17 +312,9 @@ RtReport Runtime::run() {
   threads.reserve(shards_.size() + gens_.size() + 1);
 
   for (std::size_t i = 0; i < shards_.size(); ++i) {
-    threads.emplace_back([this, i, hw, &stop_rest] {
+    threads.emplace_back([this, i, hw] {
       if (cfg_.pin_threads) pin_current_thread(static_cast<unsigned>(i % hw));
-      Shard& sh = *shards_[i];
-      while (!stop_rest.load(std::memory_order_acquire)) {
-        if (sh.drain(clock_.now()) == 0) {
-          // Nothing arrived: yield the core instead of spinning.  Latency
-          // this adds lands in mean_ingress_wait, never in slowdowns (the
-          // embedded simulator timestamps are exact).
-          std::this_thread::sleep_for(std::chrono::microseconds(100));
-        }
-      }
+      shards_[i]->serve(clock_);
     });
   }
   for (std::size_t g = 0; g < gens_.size(); ++g) {
@@ -346,6 +338,9 @@ RtReport Runtime::run() {
     if (cfg_.pin_threads) pin_current_thread(hw - 1);
     Time next = next_tick_;
     while (!stop_rest.load(std::memory_order_acquire)) {
+      // Backstop: a shard parked through pushes due inside its wake window
+      // drains at least once per loop.
+      for (auto& s : shards_) s->wake();
       const Time now = clock_.now();
       if (now >= next) {
         controller_->tick(now);
@@ -399,6 +394,7 @@ RtReport Runtime::run() {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   stop_rest.store(true, std::memory_order_release);
+  for (auto& s : shards_) s->request_stop();
   for (auto& t : threads) t.join();
   if (exporter_ != nullptr) exporter_->stop_http();
 

@@ -2,9 +2,10 @@
 // behind one configuration, drivable two ways.
 //
 //   * Threaded (SteadyClock): run() spawns one thread per load generator,
-//     one per shard, and one controller thread, optionally affinity-pinned,
-//     runs for cfg.duration wall seconds, drains, and reports.  This is the
-//     psdserved / bench/micro_rt mode.
+//     one per shard (Shard::serve: drain, then park until a producer wakes
+//     it), and one controller thread that also wakes parked shards once per
+//     loop, optionally affinity-pinned, runs for cfg.duration wall seconds,
+//     drains, and reports.  This is the psdserved / psdbench mode.
 //   * Deterministic (ManualClock): step_to(t) advances every component on
 //     the calling thread in a fixed order — generators, shards, controller —
 //     so a fixed seed yields bit-identical reports with zero sleeps.  This

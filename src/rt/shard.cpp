@@ -2,8 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "sched/dedicated_rate.hpp"
+
+#ifdef __linux__
+#include <linux/futex.h>
+#include <sys/syscall.h>
+#include <unistd.h>
+#endif
 
 namespace psd::rt {
 
@@ -28,6 +35,33 @@ std::uint64_t make_trace_id(std::uint32_t shard, ClassId cls, bool shed,
          (static_cast<std::uint64_t>(cls & 0xff) << 48) |
          (shed ? (std::uint64_t{1} << 47) : 0) |
          (ordinal & ((std::uint64_t{1} << 47) - 1));
+}
+
+// The park word's futex, untimed: arming a timer is most of what a timed
+// sleep costs, and the controller's backstop wake bounds every park anyway.
+// libstdc++'s std::atomic::wait spins and yields before it reaches the
+// futex, which doubles the shard CPU per wake, so it serves only as the
+// portable fallback.
+void futex_wait(std::atomic<std::uint32_t>& word) {
+#ifdef __linux__
+  static_assert(sizeof(std::atomic<std::uint32_t>) == sizeof(std::uint32_t) &&
+                std::atomic<std::uint32_t>::is_always_lock_free);
+  // Returns at once unless the word still reads 1; a spurious return only
+  // costs the caller one extra drain.
+  syscall(SYS_futex, reinterpret_cast<std::uint32_t*>(&word),
+          FUTEX_WAIT_PRIVATE, 1u, nullptr, nullptr, 0);
+#else
+  word.wait(1, std::memory_order_acquire);
+#endif
+}
+
+void futex_wake(std::atomic<std::uint32_t>& word) {
+#ifdef __linux__
+  syscall(SYS_futex, reinterpret_cast<std::uint32_t*>(&word),
+          FUTEX_WAKE_PRIVATE, 1, nullptr, nullptr, 0);
+#else
+  word.notify_one();
+#endif
 }
 
 }  // namespace
@@ -136,10 +170,61 @@ bool Shard::submit(const Request& req) {
   // may pop, serve, and complete it before this producer runs another
   // instruction, and done_ passing pushed_ would wrap outstanding().
   pushed_.fetch_add(1, std::memory_order_release);
-  if (ingress_.try_push(req)) return true;
-  pushed_.fetch_sub(1, std::memory_order_release);
-  drops_cls_[req.cls].add();
-  return false;
+  if (!ingress_.try_push(req)) {
+    pushed_.fetch_sub(1, std::memory_order_release);
+    drops_cls_[req.cls].add();
+    return false;
+  }
+  // Dekker pairing with park(): the push and park's store of the word are
+  // each followed by a full fence, so either this load sees the park or
+  // park's re-check sees the push, and no wake is lost.
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  if (park_.word.load(std::memory_order_acquire) != 0 &&
+      req.arrival >= park_.wake_at.load(std::memory_order_relaxed)) {
+    wake();
+  }
+  return true;
+}
+
+void Shard::serve(const ClockVariant& clock) {
+  while (!park_.stop.load(std::memory_order_acquire)) {
+    const Time now = clock.now();
+    drain(now);
+    park(now);
+  }
+}
+
+void Shard::park(Time now) {
+  if (ingress_.can_pop() || park_.stop.load(std::memory_order_acquire)) {
+    return;
+  }
+  // Coalesce: when the ring expects a second request within the window,
+  // pushes due inside it ride the wake that ends the park.  Otherwise the
+  // first push wakes the shard.
+  park_.wake_at.store(ring_rate_ * kWakeWindow >= 1.0 ? now + kWakeWindow
+                                                       : -kInf,
+                      std::memory_order_relaxed);
+  park_.word.store(1);
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  if (!ingress_.can_pop() && !park_.stop.load(std::memory_order_acquire)) {
+    futex_wait(park_.word);
+  }
+  park_.word.store(0, std::memory_order_relaxed);
+}
+
+void Shard::wake() {
+  if (park_.word.load(std::memory_order_relaxed) != 0 &&
+      park_.word.exchange(0) != 0) {
+    futex_wake(park_.word);
+  }
+}
+
+void Shard::request_stop() {
+  park_.stop.store(true);
+  // Pairs with park()'s fence: either the shard's re-check sees the flag
+  // or this load sees its park.
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  wake();
 }
 
 void Shard::apply_rates(const std::vector<double>& rates,
@@ -346,6 +431,10 @@ void Shard::refresh_estimates() {
   if (offered_est_ != nullptr) {
     offered_cache_ = offered_est_->lambda_estimate();
   }
+  // A gate sheds after the pop, so the ring carries the offered load.
+  const std::vector<double>& ring =
+      offered_est_ != nullptr ? offered_cache_ : lambda_cache_;
+  ring_rate_ = std::accumulate(ring.begin(), ring.end(), 0.0);
   window_sd_cache_ = server_->metrics().last_window_slowdowns();
   // Captured together with the slowdowns so the published (value, seq)
   // pair is coherent: seq is the number of CLOSED windows behind value.

@@ -19,8 +19,19 @@
 // the long run, and time spent staged counts toward its queueing delay (the
 // differentiation the controller is steering).
 //
-// Thread roles: submit() — any producer; drain()/finalize() — the one shard
-// thread; apply_rates() — the controller; snapshot() — anyone, via seqlock.
+// serve() is the shard thread's whole life: drain(now), then park(now),
+// until request_stop().  An idle shard parks on a futex word and the
+// producers end the park: a push wakes it when its due stamp lies at least
+// kWakeWindow past the park instant, or at once when the shard's own
+// arrival-rate estimate expects no second request within that window.
+// wake() is the backstop the controller thread calls every loop.  Parking
+// changes only when a drain runs, never what it does (src/rt/README.md,
+// "When a shard drains").
+//
+// Thread roles: submit() — any producer, which may wake a parked shard;
+// serve()/drain()/finalize() — the one shard thread; wake() — anyone;
+// request_stop() — whoever started serve(); apply_rates() — the
+// controller; snapshot() — anyone, via seqlock.
 #pragma once
 
 #include <array>
@@ -34,6 +45,7 @@
 #include "obs/counters.hpp"
 #include "obs/prof.hpp"
 #include "obs/trace.hpp"
+#include "rt/clock.hpp"
 #include "rt/mpsc_queue.hpp"
 #include "rt/seqlock.hpp"
 #include "rt/token_bucket.hpp"
@@ -151,6 +163,12 @@ struct ShardConfig {
 
 class Shard {
  public:
+  /// A parked shard that expects a second request within this window
+  /// sleeps through pushes due inside it.  The window trades ingress wait
+  /// against wakes: at 100 us the total CPU per request, producers' wakes
+  /// included, matches a 100-us sleep-poll's (src/rt/README.md).
+  static constexpr Duration kWakeWindow = 100e-6;
+
   Shard(const ShardConfig& cfg, Rng rng);
 
   Shard(const Shard&) = delete;
@@ -158,7 +176,23 @@ class Shard {
 
   /// Producer side (any thread): enqueue a request whose `arrival` is its
   /// production wall time.  Returns false (and counts a drop) on a full ring.
+  /// After a push it ends the shard's park when `arrival` reaches the
+  /// published wake time; the stamp is at hand, so no clock is read.
   bool submit(const Request& req);
+
+  /// Shard thread only: drain(now), then park(now), until request_stop().
+  void serve(const ClockVariant& clock);
+
+  /// Any thread: end the current park, if any (the controller's backstop).
+  void wake();
+
+  /// Any thread: make serve() return, waking the shard if it is parked.
+  void request_stop();
+
+  /// Any thread: true while the shard waits for a wake.
+  bool parked() const {
+    return park_.word.load(std::memory_order_acquire) != 0;
+  }
 
   /// Shard thread only: advance the embedded simulator to `now`, ingest the
   /// ingress backlog, release staged work under the token buckets, roll the
@@ -265,6 +299,11 @@ class Shard {
     obs::Span span;
   };
 
+  /// Shard thread: sleep until a producer, wake() or request_stop() ends
+  /// the park; returns at once when the ring holds a request or a stop was
+  /// requested.
+  void park(Time now);
+
   void refresh_estimates();
   void publish(Time now);
   void publish_telemetry(Time now);
@@ -316,6 +355,21 @@ class Shard {
   std::vector<double> window_sd_cache_;
   std::vector<std::uint64_t> window_seq_cache_;  ///< Coherent with the above.
   std::uint64_t drains_ = 0;
+  /// Requests per second entering the ring, summed over classes (offered
+  /// load under a gate, admitted otherwise); sets park()'s wake time.
+  double ring_rate_ = 0.0;
+
+  // Park handshake, on a cache line of its own: the shard writes it once
+  // per park, producers read it after every push.  `word` is 1 while the
+  // shard waits on it; whoever exchanges it back to 0 owes the futex wake.
+  // `wake_at` is written before `word` is set, so a producer that reads
+  // the word as 1 also reads the wake time of that park.
+  struct alignas(64) ParkLine {
+    std::atomic<std::uint32_t> word{0};
+    std::atomic<bool> stop{false};
+    std::atomic<Time> wake_at{0.0};
+  };
+  ParkLine park_;
 
   // Telemetry (shard-thread private accumulator + its own seqlock; the
   // payload is KBs, so it publishes on window rolls, not every drain).

@@ -5,6 +5,7 @@
 // ragged-tail group split and campaign JSONL byte-identity in both modes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <string>
@@ -188,10 +189,15 @@ TEST_P(LockstepBitwise, ShortReallocPeriodDeepQueues) {
 TEST_P(LockstepBitwise, RaggedTailAggregatesIdentically) {
   const ScenarioConfig c = cfg();
   const std::size_t runs = 10;  // K=4 -> groups of 4, 4, 2
-  ReplicationPlan plan;
-  plan.mode = ReplicationMode::kLockstep;
-  plan.lanes = 4;
-  const auto lockstep = run_replications(c, runs, /*parallel=*/false, plan);
+  std::vector<RunResult> lanes;
+  for (std::size_t first = 0; first < runs; first += 4) {
+    const std::size_t count = std::min<std::size_t>(4, runs - first);
+    for (RunResult& r : run_scenario_lanes(c, first, count)) {
+      lanes.push_back(std::move(r));
+    }
+  }
+  ASSERT_EQ(lanes.size(), runs);
+  const auto lockstep = aggregate_replications(c, lanes);
   const auto per_task = run_replications(c, runs, /*parallel=*/false);
   ASSERT_EQ(lockstep.runs, per_task.runs);
   ASSERT_EQ(lockstep.slowdown.size(), per_task.slowdown.size());

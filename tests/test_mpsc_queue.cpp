@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <thread>
 #include <vector>
 
@@ -53,6 +54,38 @@ TEST(MpscQueue, WrapsAroundManyLaps) {
   }
   q.publish_consumed();
   EXPECT_EQ(q.approx_size(), 0u);
+}
+
+/// A value whose copy-assignment runs a hook.  try_push assigns the value
+/// after it claimed the cell and before it releases it, so the hook sees
+/// the queue in exactly the claimed-but-unreleased state.
+struct Hooked {
+  int v = 0;
+  static inline std::function<void()> on_assign;
+  Hooked& operator=(const Hooked& other) {
+    v = other.v;
+    if (on_assign) on_assign();
+    return *this;
+  }
+};
+
+TEST(MpscQueue, CanPopSeesReleasedCellsOnly) {
+  MpscQueue<Hooked> q(4);
+  EXPECT_FALSE(q.can_pop());
+  int empty_head_reads = 0;
+  Hooked::on_assign = [&] { empty_head_reads += q.can_pop() ? 0 : 1; };
+  ASSERT_TRUE(q.try_push(Hooked{1}));  // head claimed, not yet released
+  ASSERT_TRUE(q.try_push(Hooked{2}));  // head released: it reads ready
+  Hooked::on_assign = nullptr;
+  EXPECT_EQ(empty_head_reads, 1);
+  Hooked out;
+  ASSERT_TRUE(q.can_pop());
+  ASSERT_TRUE(q.try_pop(out));
+  EXPECT_EQ(out.v, 1);
+  EXPECT_TRUE(q.can_pop());
+  ASSERT_TRUE(q.try_pop(out));
+  EXPECT_EQ(out.v, 2);
+  EXPECT_FALSE(q.can_pop());
 }
 
 // Encode (producer, sequence) in one word so the consumer can check

@@ -1,12 +1,18 @@
 // Real-time runtime (src/rt) under a ManualClock: every component steps on
 // the test thread, so these tests are deterministic by construction — no
 // sleeps, no timing-dependent assertions, bitwise-reproducible reports.
+// The park tests at the end are the exception: parking only exists on real
+// threads, so they use Runtime::run or a bare serve() thread and bound
+// waits generously.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
+#include <thread>
 
 #include "core/psd_allocation.hpp"
 #include "rt/clock.hpp"
+#include "rt/handle.hpp"
 #include "rt/runtime.hpp"
 #include "rt/seqlock.hpp"
 #include "rt/token_bucket.hpp"
@@ -397,6 +403,123 @@ TEST(Runtime, ThreadedRunRejectsManualClockAndViceVersa) {
   EXPECT_THROW(manual.run(), std::invalid_argument);
   Runtime steady(cfg, SteadyClock{});
   EXPECT_THROW(steady.step_to(1.0), std::invalid_argument);
+}
+
+// ------------------------------------------------------ parking (threads)
+
+RtConfig idle_runtime_config(double duration) {
+  RtConfig cfg = small_runtime_config();
+  cfg.controller_period = 0.05;
+  cfg.warmup = 0.1;
+  cfg.duration = duration;
+  return cfg;
+}
+
+/// Polls `done` every 100 us until it holds or `limit` wall seconds pass.
+template <typename Pred>
+bool wait_for(Pred done, double limit = 5.0) {
+  const auto end = std::chrono::steady_clock::now() +
+                   std::chrono::duration<double>(limit);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > end) return false;
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  return true;
+}
+
+bool all_parked(Runtime& rt) {
+  for (std::size_t i = 0; i < rt.num_shards(); ++i) {
+    if (!rt.shard(i).parked()) return false;
+  }
+  return true;
+}
+
+TEST(ShardPark, IdleDrainsAreBounded) {
+  // An idle shard drains only when the controller's once-per-loop backstop
+  // wakes it (about 1 kHz); a 100-us sleep-poll would drain ~6,400 times
+  // per shard-second.
+  Runtime rt(idle_runtime_config(0.5), SteadyClock{}, EmbeddedTag{});
+  const RtReport r = rt.run();
+  EXPECT_EQ(r.completed_all, 0u);
+  EXPECT_LE(r.drains, 2000u);
+}
+
+TEST(ShardPark, PushWakesAParkedShardWithNoBackstop) {
+  // A bare shard thread: no controller loop, so only the producer's wake
+  // can end the park, and only request_stop() can end the last one.
+  ShardConfig sc;
+  sc.num_classes = 2;
+  sc.capacity = 1000.0;
+  Shard shard(sc, Rng(5));
+  const ClockVariant clock{SteadyClock{}};
+  std::thread serve([&] { shard.serve(clock); });
+  EXPECT_TRUE(wait_for([&] { return shard.parked(); }));
+  EXPECT_TRUE(shard.submit(make_request(1, clock.now(), 1.0)));
+  EXPECT_TRUE(wait_for([&] { return shard.snapshot().accepted[1] == 1; }));
+  EXPECT_TRUE(wait_for([&] { return shard.parked(); }));
+  shard.request_stop();
+  serve.join();
+  shard.finalize(clock.now() + 1.0);
+  EXPECT_EQ(shard.completed_all(), 1u);
+}
+
+TEST(ShardPark, LoneRequestOnAnIdleRuntimeCompletes) {
+  // Idle estimate (lambda-hat x window < 1): the first push wakes a shard.
+  Runtime rt(idle_runtime_config(1.0), SteadyClock{}, EmbeddedTag{});
+  RtReport r;
+  std::thread run([&] { r = rt.run(); });
+  EXPECT_TRUE(wait_for([&] { return all_parked(rt); }));
+  RuntimeHandle handle(rt);
+  EXPECT_TRUE(handle.submit(make_request(0, rt.clock().now(), 1.0)));
+  run.join();
+  EXPECT_EQ(r.completed_all, 1u);
+  EXPECT_EQ(r.outstanding, 0u);
+}
+
+TEST(ShardPark, CoalescedParkStillServesALoneRequest) {
+  // 80k req/s over two shards for 0.35 s lifts every shard's estimate past
+  // one request per wake window, so parks coalesce pushes; the lone request
+  // after the stream still completes (by a push or the backstop).
+  RtConfig cfg = idle_runtime_config(0.8);
+  cfg.mean_service_seconds = 10e-6;  // 40k req/s per shard is load 0.4
+  Runtime rt(cfg, SteadyClock{}, EmbeddedTag{});
+  RtReport r;
+  std::thread run([&] { r = rt.run(); });
+  RuntimeHandle handle(rt);
+  ClockVariant& clock = rt.clock();
+  wait_for([&] { return clock.now() >= 0.05; });
+  std::uint64_t submitted = 0;
+  const Time start = clock.now();
+  for (std::uint64_t i = 0;; ++i) {
+    const Time due = start + static_cast<double>(i) / 80000.0;
+    if (due >= start + 0.35) break;
+    while (clock.now() < due) {
+    }
+    submitted += handle.submit(
+        make_request(static_cast<ClassId>(i & 1), due, 1.0)) ? 1 : 0;
+  }
+  for (std::size_t i = 0; i < rt.num_shards(); ++i) {
+    const ShardSnapshot snap = rt.shard(i).snapshot();
+    EXPECT_GE((snap.lambda_hat[0] + snap.lambda_hat[1]) * Shard::kWakeWindow,
+              1.0)
+        << "shard " << i;
+  }
+  submitted += handle.submit(make_request(0, clock.now(), 1.0)) ? 1 : 0;
+  run.join();
+  EXPECT_GT(submitted, 20000u);
+  EXPECT_EQ(r.completed_all, submitted);
+  EXPECT_EQ(r.outstanding, 0u);
+}
+
+TEST(ShardPark, StopWakesParkedShards) {
+  Runtime rt(idle_runtime_config(0.3), SteadyClock{}, EmbeddedTag{});
+  bool parked = false;
+  std::thread watch([&] { parked = wait_for([&] { return all_parked(rt); }); });
+  rt.run();
+  const double late = rt.clock().now() - rt.config().duration;
+  watch.join();
+  EXPECT_TRUE(parked);
+  EXPECT_LT(late, 0.2);
 }
 
 TEST(RtConfig, ValidatesInputs) {
