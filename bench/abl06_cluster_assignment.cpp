@@ -55,14 +55,10 @@ int main() {
            "completed"});
   for (const auto& row : rows) {
     Simulator sim;
-    std::vector<double> cutoffs;
-    if (row.policy == AssignmentPolicy::kSizeInterval) {
-      cutoffs = sita_equal_load_cutoffs(bp, kNodes);
-    }
     Cluster cluster(
         sim, kNodes, sc, [] { return std::make_unique<DedicatedRateBackend>(); },
         [pc] { return std::make_unique<PsdRateAllocator>(pc); }, row.policy,
-        Rng(13), cutoffs);
+        Rng(13), bp);
     cluster.start(0.0);
 
     const auto lam = rates_for_equal_load(kLoad * kNodes, 1.0, bp.mean(), 2);

@@ -30,12 +30,8 @@ using namespace psd;
 constexpr std::size_t kNodes = 4;
 
 double route_cost_ns(const AssignmentSpec& spec) {
-  std::vector<double> cutoffs;
-  if (spec.policy == AssignmentPolicy::kSizeInterval) {
-    cutoffs =
-        sita_equal_load_cutoffs(BoundedParetoSampler(1.5, 0.1, 100.0), kNodes);
-  }
-  AssignmentRouter router(spec, kNodes, Rng(0xC1A5Bu), std::move(cutoffs));
+  AssignmentRouter router(spec, kNodes, Rng(0xC1A5Bu),
+                          BoundedParetoSampler(1.5, 0.1, 100.0));
 
   // Pre-drawn request sizes (the SITA band lookup cost depends on them) and
   // a rotating synthetic load vector (the LWL/JSQ scan input).

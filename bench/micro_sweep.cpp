@@ -13,12 +13,18 @@
 //     fails the bench.
 //   * lockstep_sfq_grid_per_task / lockstep_sfq_grid_lockstep8 — the same
 //     pair and check on the grid with the SFQ backend, also on one worker.
+//   * expand_paper_grid — ns per expand_grid() of the paper's 54-point grid
+//     (median of 31 calls): a tripwire on the content-key render.  With
+//     snprintf behind common/format.hpp it measured 3.2x the std::to_chars
+//     baseline on a shared 4-vCPU host, which the CI sweep gate rejects.
 //
 //   ./micro_sweep [records.json]
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <utility>
+#include <vector>
 
 #include "json_bench.hpp"
 #include "sweep/campaign.hpp"
@@ -46,6 +52,18 @@ GridSpec lockstep_grid(BackendKind backend) {
   grid.loads = {0.3, 0.5, 0.7, 0.9};
   grid.deltas = {{1.0, 2.0}, {1.0, 4.0}, {1.0, 8.0}};
   grid.backends = {backend};
+  return grid;
+}
+
+/// The paper's grid (Figs. 2-4): loads 0.1..0.9 x delta in {(1,2), (1,4),
+/// (1,8)} x {dedicated, sfq}, eq. 17, BP(1.5, 0.1, 100).
+GridSpec paper_grid() {
+  GridSpec grid;
+  grid.base.allocator = AllocatorKind::kPsd;
+  grid.base.size_dist = DistSpec::bounded_pareto(1.5, 0.1, 100.0);
+  grid.loads = {0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9};
+  grid.deltas = {{1.0, 2.0}, {1.0, 4.0}, {1.0, 8.0}};
+  grid.backends = {BackendKind::kDedicated, BackendKind::kSfq};
   return grid;
 }
 
@@ -155,11 +173,36 @@ bool compare_modes(const std::string& path, const std::string& bench,
   return true;
 }
 
+/// Median ns of expand_grid(paper_grid()) over 31 calls.
+void bench_expand(const std::string& path) {
+  const GridSpec grid = paper_grid();
+  constexpr int kCalls = 31;
+  std::vector<double> ns;
+  std::size_t points = 0;
+  for (int i = 0; i < kCalls; ++i) {
+    const auto t0 = std::chrono::steady_clock::now();
+    points = expand_grid(grid).size();
+    ns.push_back(seconds_since(t0) * 1e9);
+  }
+  std::sort(ns.begin(), ns.end());
+  const double median = ns[kCalls / 2];
+  std::printf("expand_paper_grid: %zu points, %.1f us per expansion\n",
+              points, median * 1e-3);
+  char extra[128];
+  std::snprintf(extra, sizeof(extra),
+                "\"impl\":\"expand_grid\",\"points\":%zu,\"calls\":%d",
+                points, kCalls);
+  bench::emit_record(path, "sweep", "expand_paper_grid", extra, median,
+                     kCalls);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   const std::string path =
       argc > 1 ? argv[1] : "BENCH_sweep.json";
+
+  bench_expand(path);
 
   // --- campaign engine vs scenario-serial baseline (mixed grid) ---
   const GridSpec grid = small_grid();

@@ -1,24 +1,14 @@
 #include "admission/admission.hpp"
 
-#include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/format.hpp"
 #include "common/types.hpp"
 
 namespace psd {
-
-namespace {
-
-std::string fmt(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%g", v);
-  return buf;
-}
-
-}  // namespace
 
 UtilizationGate::UtilizationGate(std::size_t num_classes, double mean_size,
                                  double capacity, double threshold)
@@ -220,13 +210,13 @@ std::string AdmissionSpec::name() const {
     case Kind::kAdmitAll:
       return "admit-all";
     case Kind::kUtilization:
-      return "util:" + fmt(threshold);
+      return "util:" + format_g(threshold);
     case Kind::kSlowdownBudget:
-      return "slowdown-budget:" + fmt(budget);
+      return "slowdown-budget:" + format_g(budget);
     case Kind::kDeltaAware:
-      return "delta-aware:" + fmt(threshold);
+      return "delta-aware:" + format_g(threshold);
     case Kind::kTokenBucket:
-      return "token-bucket:" + fmt(threshold) + "," + fmt(burst_tu);
+      return "token-bucket:" + format_g(threshold) + "," + format_g(burst_tu);
   }
   return "none";
 }

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <thread>
 
-#include "cluster/dispatcher.hpp"
 #include "dist/sampler.hpp"
 
 namespace psd::rt {
@@ -55,16 +54,15 @@ ClusterRuntime::ClusterRuntime(ClusterRtConfig cfg, ClockVariant clock)
   for (auto& node : nodes_) handles_.emplace_back(*node);
 
   // Router: the same assignment implementation the simulation validates.
-  // SITA-E cutoffs are precomputed once from the size distribution.
+  // SITA-E splits the size distribution into one band per alive node.
   Rng master(cfg_.node.seed);
-  std::vector<double> cutoffs;
+  std::optional<BoundedParetoSampler> sita_sizes;
   if (cfg_.assignment.policy == AssignmentPolicy::kSizeInterval) {
-    const BoundedParetoSampler bp(cfg_.node.size_dist.a, cfg_.node.size_dist.b,
-                                  cfg_.node.size_dist.c);
-    cutoffs = sita_equal_load_cutoffs(bp, cfg_.nodes);
+    sita_sizes.emplace(cfg_.node.size_dist.a, cfg_.node.size_dist.b,
+                       cfg_.node.size_dist.c);
   }
   router_.emplace(cfg_.assignment, cfg_.nodes, master.fork(8000),
-                  std::move(cutoffs));
+                  std::move(sita_sizes));
 
   // The global controller: the node controller's loop over one shard group
   // per node, at the allocator the template names, with no admission
@@ -403,6 +401,7 @@ ClusterReport ClusterRuntime::report() const {
     r.shed_total += r.cls[c].shed;
   }
   for (const auto& g : gens_) r.produced += g->produced();
+  r.gen_late_mean = mean_lateness(gens_);
   const ControllerSnapshot cs = global_->snapshot();
   r.global_ticks = cs.ticks;
   r.rebalances = cs.allocations;

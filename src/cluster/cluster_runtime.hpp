@@ -118,6 +118,8 @@ struct ClusterReport {
   /// Mean dispatcher cost (route + submit) in nanoseconds.  NaN under a
   /// ManualClock: timing reads would break bitwise determinism.
   double mean_dispatch_ns = kNaN;
+  /// The generators' mean lateness per request (RtReport::gen_late_mean).
+  double gen_late_mean = kNaN;
   std::vector<ClusterNodeReport> node;
 };
 

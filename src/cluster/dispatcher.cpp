@@ -1,50 +1,20 @@
 #include "cluster/dispatcher.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 #include "common/error.hpp"
 #include "common/types.hpp"
 
 namespace psd {
 
-std::vector<double> sita_equal_load_cutoffs(const BoundedParetoSampler& dist,
-                                            std::size_t nodes) {
-  PSD_REQUIRE(nodes >= 1, "need at least one node");
-  // Partial expected work up to x: W(x) = g (x^{1-a} - k^{1-a}) / (1-a)
-  // (log form at a == 1); each node takes an equal share of W(p).
-  const double a = dist.alpha();
-  const double g = dist.normalizer();
-  const double k = dist.min_value();
-  auto partial = [&](double x) {
-    if (std::abs(a - 1.0) < 1e-12) return g * std::log(x / k);
-    return g * (std::pow(x, 1.0 - a) - std::pow(k, 1.0 - a)) / (1.0 - a);
-  };
-  const double total = partial(dist.max_value());
-  std::vector<double> cutoffs;
-  cutoffs.reserve(nodes - 1);
-  for (std::size_t n = 1; n < nodes; ++n) {
-    const double target = total * static_cast<double>(n) /
-                          static_cast<double>(nodes);
-    double lo = dist.min_value(), hi = dist.max_value();
-    for (int iter = 0; iter < 200; ++iter) {
-      const double mid = 0.5 * (lo + hi);
-      (partial(mid) < target ? lo : hi) = mid;
-    }
-    cutoffs.push_back(0.5 * (lo + hi));
-  }
-  return cutoffs;
-}
-
 Cluster::Cluster(Simulator& sim, std::size_t nodes,
                  const ServerConfig& node_cfg,
                  const BackendFactory& backend_factory,
                  const AllocatorFactory& allocator_factory,
-                 AssignmentSpec policy, Rng rng, std::vector<double> cutoffs)
+                 AssignmentSpec policy, Rng rng,
+                 std::optional<BoundedParetoSampler> sizes)
     // The router takes its own copy of `rng`: forks (per-node streams below)
     // don't advance the source, so the random policy draws the same sequence
     // it drew when the dispatcher owned the stream directly.
-    : sim_(sim), rng_(rng), router_(policy, nodes, rng, std::move(cutoffs)) {
+    : sim_(sim), rng_(rng), router_(policy, nodes, rng, std::move(sizes)) {
   PSD_REQUIRE(backend_factory != nullptr, "backend factory required");
   num_classes_ = node_cfg.num_classes;
   nodes_.reserve(nodes);

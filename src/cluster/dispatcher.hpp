@@ -22,6 +22,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "cluster/assignment.hpp"
@@ -31,24 +32,20 @@
 
 namespace psd {
 
-/// SITA-E cutoffs: partition [k, p] into `nodes` intervals of equal expected
-/// work (equal contribution to E[X]).  Returns nodes-1 interior cutoffs.
-std::vector<double> sita_equal_load_cutoffs(const BoundedParetoSampler& dist,
-                                            std::size_t nodes);
-
 class Cluster final : public RequestSink {
  public:
   using BackendFactory = std::function<std::unique_ptr<SchedulerBackend>()>;
   using AllocatorFactory = std::function<std::unique_ptr<RateAllocator>()>;
 
   /// Builds `nodes` identical servers from the config and factories.
-  /// `cutoffs` is required (size nodes-1, increasing) for kSizeInterval.
-  /// (AssignmentSpec is implicitly constructible from AssignmentPolicy, so
-  /// policy-enum call sites keep working; pass a spec to set JSQ's d.)
+  /// `sizes` (the size law SITA-E splits into bands) is required for
+  /// kSizeInterval.  (AssignmentSpec is implicitly constructible from
+  /// AssignmentPolicy, so policy-enum call sites keep working; pass a spec
+  /// to set JSQ's d.)
   Cluster(Simulator& sim, std::size_t nodes, const ServerConfig& node_cfg,
           const BackendFactory& backend_factory,
           const AllocatorFactory& allocator_factory, AssignmentSpec policy,
-          Rng rng, std::vector<double> cutoffs = {});
+          Rng rng, std::optional<BoundedParetoSampler> sizes = std::nullopt);
 
   void start(Time origin);
   void submit(const Request& req) override;

@@ -1,23 +1,15 @@
 #include "dist/factory.hpp"
 
-#include <cstdio>
 #include <sstream>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/format.hpp"
 #include "dist/sampler.hpp"
 
 namespace psd {
 
 namespace {
-
-/// %g (6 significant digits) — the rendering sweep labels have always used;
-/// name() must emit the same bytes dist_name() historically did.
-std::string short_num(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%g", v);
-  return buf;
-}
 
 constexpr const char* kDistGrammar =
     "bp:alpha,k,p | det:c | exp:m | bexp:m,lo,hi | lognormal:m,scv | "
@@ -79,7 +71,7 @@ std::string DistSpec::name() const {
   const std::size_t n = arity();
   for (std::size_t i = 0; i < n; ++i) {
     out += i == 0 ? ':' : ',';
-    out += short_num(params[i]);
+    append_g(out, params[i]);
   }
   return out;
 }

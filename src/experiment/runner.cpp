@@ -153,12 +153,10 @@ RunResult run_cluster_scenario(const ScenarioConfig& cfg,
   Rng master(cfg.seed);
   Rng run_rng = master.fork(run_index);
 
-  std::vector<double> cutoffs;
+  std::optional<BoundedParetoSampler> sita_sizes;
   if (cfg.cluster_policy == AssignmentPolicy::kSizeInterval) {
     // validate() guarantees a bounded-pareto spec here.
-    cutoffs = sita_equal_load_cutoffs(
-        BoundedParetoSampler(cfg.size_dist.a, cfg.size_dist.b, cfg.size_dist.c),
-        nodes);
+    sita_sizes.emplace(cfg.size_dist.a, cfg.size_dist.b, cfg.size_dist.c);
   }
 
   Cluster cluster(
@@ -166,7 +164,7 @@ RunResult run_cluster_scenario(const ScenarioConfig& cfg,
       [&] { return make_scenario_backend(cfg, unit); },
       [&] { return make_scenario_allocator(cfg, dist.mean()); },
       AssignmentSpec(cfg.cluster_policy, cfg.cluster_jsq_d),
-      run_rng.fork(1000), std::move(cutoffs));
+      run_rng.fork(1000), std::move(sita_sizes));
   if (cfg.admission.active()) {
     // Each node gates its own share of the offered load, mirroring the
     // per-node allocator: a node-local gate sized at node capacity.

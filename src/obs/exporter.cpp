@@ -1,13 +1,13 @@
 #include "obs/exporter.hpp"
 
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <functional>
 #include <sstream>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/format.hpp"
 #include "sweep/jsonl.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -59,14 +59,6 @@ std::string hist_array(const Log2Hist* h, std::size_t n) {
   }
   out += ']';
   return out;
-}
-
-/// "%.17g" like the JSONL side, but non-finite values stay literal — the
-/// Prometheus text format parses NaN/Inf while JSON cannot carry them.
-std::string prom_num(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
 }
 
 }  // namespace
@@ -255,6 +247,9 @@ void StatsExporter::final_flush(double now) {
 }
 
 std::string StatsExporter::prometheus_text() const {
+  // Doubles render as "%.17g" like the JSONL side (format_g17), but
+  // non-finite values stay literal: the text format parses NaN/Inf, while
+  // JSON cannot carry them.
   const std::size_t n = shards_[0]->config().num_classes;
   std::ostringstream os;
 
@@ -275,12 +270,12 @@ std::string StatsExporter::prometheus_text() const {
     for (int b = 0; b < Log2Hist::kBuckets; ++b) {
       cum += h.bucket[b];
       os << name << "_bucket{shard=\"" << shard << "\",cls=\"" << cls
-         << "\",le=\"" << prom_num(Log2Hist::bucket_upper(b)) << "\"} "
+         << "\",le=\"" << format_g17(Log2Hist::bucket_upper(b)) << "\"} "
          << cum << "\n";
     }
     os << name << "_bucket{shard=\"" << shard << "\",cls=\"" << cls
        << "\",le=\"+Inf\"} " << h.count << "\n"
-       << name << "_sum" << labels(shard, cls) << " " << prom_num(h.sum)
+       << name << "_sum" << labels(shard, cls) << " " << format_g17(h.sum)
        << "\n"
        << name << "_count" << labels(shard, cls) << " " << h.count << "\n";
   };
@@ -340,11 +335,11 @@ std::string StatsExporter::prometheus_text() const {
          });
   family("psd_rt_lambda_hat", "gauge",
          [](const rt::ShardSnapshot& s, std::size_t c) {
-           return prom_num(s.lambda_hat[c]);
+           return format_g17(s.lambda_hat[c]);
          });
   family("psd_rt_rate", "gauge",
          [](const rt::ShardSnapshot& s, std::size_t c) {
-           return prom_num(s.rate[c]);
+           return format_g17(s.rate[c]);
          });
 
   auto hist_family = [&](const char* name,
@@ -375,12 +370,12 @@ std::string StatsExporter::prometheus_text() const {
   os << "# TYPE psd_rt_controller_rate gauge\n";
   for (std::size_t c = 0; c < n; ++c) {
     os << "psd_rt_controller_rate{cls=\"" << c << "\"} "
-       << prom_num(cs.rate[c]) << "\n";
+       << format_g17(cs.rate[c]) << "\n";
   }
   os << "# TYPE psd_rt_controller_lambda gauge\n";
   for (std::size_t c = 0; c < n; ++c) {
     os << "psd_rt_controller_lambda{cls=\"" << c << "\"} "
-       << prom_num(cs.lambda[c]) << "\n";
+       << format_g17(cs.lambda[c]) << "\n";
   }
   return os.str();
 }

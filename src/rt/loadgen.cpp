@@ -4,6 +4,17 @@
 
 namespace psd::rt {
 
+double mean_lateness(
+    const std::vector<std::unique_ptr<LoadSource>>& sources) {
+  double late = 0.0;
+  std::uint64_t produced = 0;
+  for (const auto& s : sources) {
+    late += s->late_seconds();
+    produced += s->produced();
+  }
+  return produced > 0 ? late / static_cast<double>(produced) : kNaN;
+}
+
 SyntheticLoadGen::SyntheticLoadGen(std::uint32_t gen_id, Rng rng,
                                    std::vector<ClassLoad> classes,
                                    std::vector<Shard*> shards, Sink sink,
@@ -45,7 +56,7 @@ void SyntheticLoadGen::step_until(Time t) {
     req.cls = earliest->cls;
     req.arrival = earliest->next;
     req.size = earliest->sizes.sample(rng_);
-    route(shards_, earliest->rr, req);
+    route(shards_, earliest->rr, req, t);
     earliest->next += earliest->arrivals.next_interarrival(rng_);
   }
 }
@@ -82,7 +93,7 @@ void TraceLoadGen::step_until(Time t) {
     req.cls = e.cls;
     req.arrival = (e.time - base_) * scale_;
     req.size = e.size;
-    route(shards_, rr_[e.cls], req);
+    route(shards_, rr_[e.cls], req, t);
     ++idx_;
   }
 }

@@ -28,6 +28,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "rt/shard.hpp"
@@ -54,13 +55,21 @@ class LoadSource {
     return produced_.load(std::memory_order_relaxed);
   }
 
+  /// Summed lateness: for every produced request, the step_until(t) time
+  /// that emitted it minus its due time (its arrival stamp).  A threaded
+  /// driver wakes late toward the next due time, and the stamp hides that
+  /// from the shard's ingress wait, so this is the generator's share of it.
+  /// Written by the source's thread; read it once that thread has stopped.
+  double late_seconds() const { return late_seconds_; }
+
  protected:
   /// Drops are counted where they happen (Shard::submit), not here.  With a
   /// sink installed the shard spray is bypassed entirely (`shards` may be
-  /// empty) and the sink owns routing.
-  void route(std::vector<Shard*>& shards, std::size_t& rr,
-             const Request& req) {
+  /// empty) and the sink owns routing.  `now` is the step_until time.
+  void route(std::vector<Shard*>& shards, std::size_t& rr, const Request& req,
+             Time now) {
     produced_.fetch_add(1, std::memory_order_relaxed);
+    late_seconds_ += now - req.arrival;
     if (sink_) {
       sink_(req);
       return;
@@ -73,8 +82,13 @@ class LoadSource {
 
  private:
   std::atomic<std::uint64_t> produced_{0};
+  double late_seconds_ = 0.0;
   Sink sink_;
 };
+
+/// Mean lateness per produced request over `sources` (sum of late_seconds
+/// over sum of produced); NaN when none produced anything.
+double mean_lateness(const std::vector<std::unique_ptr<LoadSource>>& sources);
 
 class SyntheticLoadGen final : public LoadSource {
  public:

@@ -574,6 +574,7 @@ RtReport Runtime::report() const {
   for (const auto& g : gens_) {
     r.produced += g->produced();
   }
+  r.gen_late_mean = mean_lateness(gens_);
   const ControllerSnapshot cs = controller_->snapshot();
   r.controller_ticks = cs.ticks;
   r.reallocations = cs.allocations;

@@ -149,6 +149,10 @@ struct RtReport {
   std::uint64_t controller_ticks = 0;
   std::uint64_t reallocations = 0;
   std::uint64_t drains = 0;
+  /// Mean seconds from a request's due time to the generator step that
+  /// emitted it (LoadSource::late_seconds): the generator's own share of
+  /// each class's mean_ingress_wait.  NaN without generators.
+  double gen_late_mean = kNaN;
 };
 
 /// Tag for the embedded (generator-less) Runtime construction below.

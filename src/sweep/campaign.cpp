@@ -248,9 +248,10 @@ CampaignResult run_campaign(
   std::vector<CampaignTask> tasks;
   for (std::size_t i = 0; i < points.size(); ++i) {
     PointOutcome& po = out.points[i];
-    po.point = points[i];
-    po.point_seed = derive_point_seed(options.master_seed, points[i].cfg);
-    if (done.count(points[i].key) > 0) {
+    po.point = std::move(points[i]);
+    const ScenarioConfig& cfg = po.point.cfg;
+    po.point_seed = derive_point_seed(options.master_seed, po.point.hash);
+    if (done.count(po.point.key) > 0) {
       po.skipped = true;
       ++out.skipped;
       if (gauge != nullptr) gauge->skipped.add();
@@ -264,10 +265,10 @@ CampaignResult run_campaign(
     state[i].remaining.store(options.runs, std::memory_order_relaxed);
 
     const std::size_t group =
-        lanes > 1 && lockstep_eligible(points[i].cfg) ? lanes : std::size_t{1};
+        lanes > 1 && lockstep_eligible(cfg) ? lanes : std::size_t{1};
     for (std::size_t r0 = 0; r0 < options.runs; r0 += group) {
       const std::size_t count = std::min(group, options.runs - r0);
-      tasks.push_back({i, r0, count, expected_arrivals(points[i].cfg, count)});
+      tasks.push_back({i, r0, count, expected_arrivals(cfg, count)});
     }
   }
   order_final_wave(tasks, pool->worker_count());

@@ -1,9 +1,11 @@
 #include "sweep/grid.hpp"
 
-#include <cstdio>
+#include <initializer_list>
+#include <string_view>
 #include <unordered_set>
 
 #include "common/error.hpp"
+#include "common/format.hpp"
 #include "common/rng.hpp"
 #include "sweep/jsonl.hpp"
 
@@ -11,20 +13,30 @@ namespace psd {
 
 namespace {
 
-// %g (6 significant digits) for human-facing labels; the canonical/hashed
-// form uses the exact json_number rendering instead.
-std::string short_num(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%g", v);
-  return buf;
-}
-
+// Labels are for people: "%g" (6 significant digits).  The canonical,
+// hashed form renders exactly instead (json_number).
 std::string delta_label(const std::vector<double>& delta) {
   std::string out;
   for (std::size_t i = 0; i < delta.size(); ++i) {
     if (i > 0) out += ':';
-    out += short_num(delta[i]);
+    append_g(out, delta[i]);
   }
+  return out;
+}
+
+std::uint64_t fnv1a(std::string_view bytes) {
+  std::uint64_t h = 0xCBF29CE484222325ULL;  // FNV-1a offset basis
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001B3ULL;  // FNV prime
+  }
+  return h;
+}
+
+std::string hex_key(std::uint64_t h) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out(16, '0');
+  for (std::size_t i = 16; i-- > 0; h >>= 4) out[i] = kDigits[h & 0xF];
   return out;
 }
 
@@ -109,13 +121,13 @@ std::string config_canonical(const ScenarioConfig& in) {
   auto num = [&](const char* name, double v) {
     s += name;
     s += '=';
-    s += json_number(v);
+    append_json_number(s, v);
     s += ';';
   };
   auto vec = [&](const char* name, const std::vector<double>& v) {
     s += name;
     s += '=';
-    s += json_array(v);
+    append_json_array(s, v);
     s += ';';
   };
   auto uns = [&](const char* name, std::uint64_t v) {
@@ -124,14 +136,22 @@ std::string config_canonical(const ScenarioConfig& in) {
     s += std::to_string(v);
     s += ';';
   };
+  // "(a,b,...);" — the parameter list of the size law and the profile.
+  auto params = [&](std::initializer_list<double> vs) {
+    char sep = '(';
+    for (const double v : vs) {
+      s += sep;
+      append_json_number(s, v);
+      sep = ',';
+    }
+    s += ");";
+  };
   vec("delta", cfg.delta);
   num("load", cfg.load);
   vec("load_share", cfg.load_share);
   s += "dist=";
   s += cfg.size_dist.kind_name();
-  s += '(' + json_number(cfg.size_dist.a) + ',' +
-       json_number(cfg.size_dist.b) + ',' + json_number(cfg.size_dist.c) +
-       ");";
+  params({cfg.size_dist.a, cfg.size_dist.b, cfg.size_dist.c});
   uns("arrivals", static_cast<std::uint64_t>(cfg.arrivals));
   num("burstiness", cfg.burstiness);
   // Nonstationary fields append only when off their defaults, so every
@@ -145,9 +165,7 @@ std::string config_canonical(const ScenarioConfig& in) {
   if (cfg.profile.active()) {
     s += "profile=";
     s += std::to_string(static_cast<int>(cfg.profile.kind));
-    s += '(' + json_number(cfg.profile.a) + ',' + json_number(cfg.profile.b) +
-         ',' + json_number(cfg.profile.c) + ',' + json_number(cfg.profile.d) +
-         ");";
+    params({cfg.profile.a, cfg.profile.b, cfg.profile.c, cfg.profile.d});
     num("converge_tol", cfg.converge_tol);
   }
   if (cfg.admission != AdmissionSpec{}) {
@@ -195,27 +213,23 @@ std::string config_canonical(const ScenarioConfig& in) {
 }
 
 std::uint64_t config_hash(const ScenarioConfig& cfg) {
-  const std::string canon = config_canonical(cfg);
-  std::uint64_t h = 0xCBF29CE484222325ULL;  // FNV-1a offset basis
-  for (unsigned char c : canon) {
-    h ^= c;
-    h *= 0x100000001B3ULL;  // FNV prime
-  }
-  return h;
+  return fnv1a(config_canonical(cfg));
 }
 
 std::string config_key(const ScenarioConfig& cfg) {
-  char buf[20];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(config_hash(cfg)));
-  return buf;
+  return hex_key(config_hash(cfg));
 }
 
 std::uint64_t derive_point_seed(std::uint64_t master_seed,
                                 const ScenarioConfig& cfg) {
+  return derive_point_seed(master_seed, config_hash(cfg));
+}
+
+std::uint64_t derive_point_seed(std::uint64_t master_seed,
+                                std::uint64_t hash) {
   // SplitMix64 over (master ^ content hash): any change to either yields an
   // unrelated stream, and the result depends on nothing else.
-  SplitMix64 sm(master_seed ^ (config_hash(cfg) * 0x9E3779B97F4A7C15ULL));
+  SplitMix64 sm(master_seed ^ (hash * 0x9E3779B97F4A7C15ULL));
   return sm.next();
 }
 
@@ -253,9 +267,15 @@ std::vector<CampaignPoint> expand_grid(const GridSpec& grid) {
                               : grid.admissions;
 
   std::vector<CampaignPoint> points;
+  points.reserve(deltas.size() * dists.size() * backends.size() *
+                 allocators.size() * rate_changes.size() * nodes.size() *
+                 policies.size() * profiles.size() * admissions.size() *
+                 loads.size());
   std::unordered_set<std::string> seen;
   for (const auto& delta : deltas) {
+    const std::string delta_text = delta_label(delta);
     for (const auto& dist : dists) {
+      const std::string dist_text = dist_name(dist);
       for (const auto backend : backends) {
         for (const auto allocator : allocators) {
           for (const auto rate_change : rate_changes) {
@@ -279,16 +299,17 @@ std::vector<CampaignPoint> expand_grid(const GridSpec& grid) {
                       // Dedup on the full canonical form, not the 64-bit
                       // key, so a hash collision can never silently drop a
                       // point.
-                      if (!seen.insert(config_canonical(cfg)).second) {
-                        continue;
-                      }
+                      const auto [canon, fresh] =
+                          seen.insert(config_canonical(cfg));
+                      if (!fresh) continue;
                       CampaignPoint p;
-                      p.key = config_key(cfg);
-                      p.label = "delta=" + delta_label(delta) +
-                                " load=" + short_num(load) +
+                      p.hash = fnv1a(*canon);
+                      p.key = hex_key(p.hash);
+                      p.label = "delta=" + delta_text +
+                                " load=" + format_g(load) +
                                 " backend=" + backend_name(backend) +
                                 " alloc=" + allocator_name(allocator) +
-                                " dist=" + dist_name(dist);
+                                " dist=" + dist_text;
                       if (rate_change != RateChangePolicy::kRescaleRemaining) {
                         p.label += std::string(" rate_change=") +
                                    rate_change_name(rate_change);

@@ -38,14 +38,16 @@ struct GridSpec {
 
 struct CampaignPoint {
   ScenarioConfig cfg;
-  std::string key;    ///< 16 hex digits: FNV-1a of the canonical config.
+  std::string key;    ///< `hash` as 16 lowercase hex digits.
   std::string label;  ///< Short human-readable axis summary.
+  std::uint64_t hash = 0;  ///< config_hash(cfg): FNV-1a of the canonical.
 };
 
 /// Cross the axes (loads varying fastest, deltas slowest), validate each
 /// config, drop content-duplicates, and key every survivor.  Order is
 /// deterministic: nesting order of the axes above, reversed (deltas
-/// outermost).
+/// outermost).  Each point's canonical config renders once: it is both the
+/// dedup identity and the input of `hash`.
 std::vector<CampaignPoint> expand_grid(const GridSpec& grid);
 
 /// Canonical serialization of every semantic ScenarioConfig field EXCEPT
@@ -57,8 +59,10 @@ std::vector<CampaignPoint> expand_grid(const GridSpec& grid);
 /// node, burstiness off bursty arrivals, the recording window with
 /// recording off — so two configs that cannot behave differently share one
 /// key (better dedup, and fixing a lottery-only parameter does not
-/// invalidate the resume keys of dedicated points).  Doubles render with
-/// "%.17g" so equality is bitwise.
+/// invalidate the resume keys of dedicated points).  Doubles render as
+/// "%.17g" renders them (common/format.hpp): 17 significant digits
+/// round-trip, so equal strings mean bitwise-equal fields.  The bytes are
+/// frozen: keys, point seeds and resume files all hash them.
 std::string config_canonical(const ScenarioConfig& cfg);
 
 /// FNV-1a (64-bit) over config_canonical().
@@ -71,6 +75,9 @@ std::string config_key(const ScenarioConfig& cfg);
 /// independent of expansion or execution order.
 std::uint64_t derive_point_seed(std::uint64_t master_seed,
                                 const ScenarioConfig& cfg);
+/// The same seed from a hash already computed (CampaignPoint::hash).
+std::uint64_t derive_point_seed(std::uint64_t master_seed,
+                                std::uint64_t hash);
 
 // --- axis-value names (shared by labels, JSONL records, CLI parsing) ---
 const char* backend_name(BackendKind k);

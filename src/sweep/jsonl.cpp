@@ -8,14 +8,22 @@
 #include <string_view>
 
 #include "common/error.hpp"
+#include "common/format.hpp"
 
 namespace psd {
 
 std::string json_number(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
+  std::string out;
+  append_json_number(out, v);
+  return out;
+}
+
+void append_json_number(std::string& out, double v) {
+  if (std::isfinite(v)) {
+    append_g17(out, v);
+  } else {
+    out += "null";
+  }
 }
 
 std::string json_string(const std::string& s) {
@@ -52,7 +60,7 @@ void JsonObject::key(const std::string& name) {
 
 JsonObject& JsonObject::field(const std::string& name, double v) {
   key(name);
-  body_ += json_number(v);
+  append_json_number(body_, v);
   return *this;
 }
 
@@ -82,13 +90,18 @@ JsonObject& JsonObject::raw(const std::string& name,
 std::string JsonObject::str() const { return "{" + body_ + "}"; }
 
 std::string json_array(const std::vector<double>& v) {
-  std::string out = "[";
+  std::string out;
+  append_json_array(out, v);
+  return out;
+}
+
+void append_json_array(std::string& out, const std::vector<double>& v) {
+  out += '[';
   for (std::size_t i = 0; i < v.size(); ++i) {
     if (i > 0) out += ',';
-    out += json_number(v[i]);
+    append_json_number(out, v[i]);
   }
   out += ']';
-  return out;
 }
 
 std::unordered_set<std::string> load_completed_keys(

@@ -1,11 +1,13 @@
 // Minimal JSON rendering + JSONL scanning for campaign artifacts.
 //
 // Writing: campaign records must be byte-identical for identical inputs
-// regardless of thread count, so doubles are rendered with "%.17g"
-// (shortest exact round-trip bound) and non-finite values become null
-// (JSON has no NaN/inf).  Reading: resume only needs two fields per line
-// ("key", "master_seed"), so the loader is a tolerant string scan rather
-// than a full parser — foreign, malformed and torn lines are skipped.
+// regardless of thread count, so doubles are rendered as "%.17g" renders
+// them (common/format.hpp): 17 significant digits, enough to round-trip but
+// not the shortest form, and frozen because content keys hash these bytes.
+// Non-finite values become null (JSON has no NaN/inf).  Reading: resume
+// only needs two fields per line ("key", "master_seed"), so the loader is a
+// tolerant string scan rather than a full parser — foreign, malformed and
+// torn lines are skipped.
 #pragma once
 
 #include <cstdint>
@@ -18,6 +20,8 @@ namespace psd {
 
 /// "%.17g" for finite values, "null" otherwise.
 std::string json_number(double v);
+/// json_number(v), appended to `out`.
+void append_json_number(std::string& out, double v);
 
 /// Escape and quote a string for JSON (control chars, quote, backslash).
 std::string json_string(const std::string& s);
@@ -55,6 +59,8 @@ class JsonObject {
 
 /// Render a numeric array: "[1,2.5,null]".
 std::string json_array(const std::vector<double>& v);
+/// json_array(v), appended to `out`.
+void append_json_array(std::string& out, const std::vector<double>& v);
 
 /// Scan a JSONL file for records carrying `"master_seed":<seed>` and return
 /// the set of their `"key"` values.  A final line without its '\n' is a

@@ -1,21 +1,15 @@
 #include "workload/class_spec.hpp"
 
 #include <cmath>
-#include <cstdio>
 #include <numeric>
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/format.hpp"
 
 namespace psd {
 
 namespace {
-
-std::string short_num(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%g", v);
-  return buf;
-}
 
 constexpr const char* kArrivalGrammar =
     "poisson | det | mmpp:burst[,sojourn[,duty]]";
@@ -37,8 +31,8 @@ std::string ArrivalSpec::name() const {
     case ArrivalKind::kDeterministic:
       return "det";
     case ArrivalKind::kBursty:
-      return "mmpp:" + short_num(burstiness) + ',' + short_num(sojourn) +
-             ',' + short_num(duty);
+      return "mmpp:" + format_g(burstiness) + ',' + format_g(sojourn) + ',' +
+             format_g(duty);
   }
   PSD_UNREACHABLE("unknown arrival kind");
 }

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/format.hpp"
 
 namespace psd {
 
@@ -43,12 +44,6 @@ std::vector<double> parse_params(const std::string& spec,
                                    std::to_string(n) + " parameters (" +
                                    spec + ")");
   return out;
-}
-
-std::string num(double v) {
-  std::ostringstream os;
-  os << v;
-  return os.str();
 }
 
 }  // namespace
@@ -145,11 +140,12 @@ std::string LoadProfile::name() const {
     case Kind::kNone:
       return "none";
     case Kind::kRamp:
-      return "ramp:" + num(a) + ',' + num(b) + ',' + num(c) + ',' + num(d);
+      return "ramp:" + format_g(a) + ',' + format_g(b) + ',' + format_g(c) +
+             ',' + format_g(d);
     case Kind::kSin:
-      return "sin:" + num(a) + ',' + num(b);
+      return "sin:" + format_g(a) + ',' + format_g(b);
     case Kind::kSpike:
-      return "spike:" + num(a) + ',' + num(b) + ',' + num(c);
+      return "spike:" + format_g(a) + ',' + format_g(b) + ',' + format_g(c);
   }
   PSD_UNREACHABLE("unknown profile kind");
 }

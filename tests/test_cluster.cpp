@@ -154,11 +154,13 @@ TEST(Cluster, SizeIntervalRoutesBySize) {
   const BoundedParetoSampler bp(1.5, 0.1, 100.0);
   Cluster cluster(sim, 2, node_cfg(1), dedicated_factory(),
                   psd_factory(bp, {1.0}), AssignmentPolicy::kSizeInterval,
-                  Rng(3), {1.0});
+                  Rng(3), bp);
+  // Two nodes: the one cutoff halves the expected work, near size 0.376.
+  ASSERT_EQ(cluster.router().cutoffs(), sita_equal_load_cutoffs(bp, 2));
   cluster.start(0.0);
   Request small;
   small.cls = 0;
-  small.size = 0.5;
+  small.size = 0.2;
   cluster.submit(small);
   Request big;
   big.cls = 0;
@@ -168,12 +170,12 @@ TEST(Cluster, SizeIntervalRoutesBySize) {
   EXPECT_EQ(cluster.dispatched(1), 1u);
 }
 
-TEST(Cluster, SizeIntervalRequiresCutoffs) {
+TEST(Cluster, SizeIntervalRequiresTheSizeLaw) {
   Simulator sim;
   const BoundedParetoSampler bp(1.5, 0.1, 100.0);
   EXPECT_THROW(Cluster(sim, 3, node_cfg(1), dedicated_factory(),
                        psd_factory(bp, {1.0}),
-                       AssignmentPolicy::kSizeInterval, Rng(1), {1.0}),
+                       AssignmentPolicy::kSizeInterval, Rng(1)),
                std::invalid_argument);
 }
 
@@ -283,17 +285,53 @@ TEST(Router, JsqPrefersLessLoadedOfTheSample) {
   EXPECT_GT(idle, 250);
 }
 
-TEST(Router, SitaReroutesDeadBandToNextAliveWrapping) {
-  const std::vector<double> cutoffs = {1.0, 2.0, 3.0};
-  AssignmentRouter r(AssignmentPolicy::kSizeInterval, 4, Rng(4), cutoffs);
-  EXPECT_EQ(r.route(0.5, {}), 0u);
-  EXPECT_EQ(r.route(1.5, {}), 1u);
-  EXPECT_EQ(r.route(9.0, {}), 3u);
+TEST(Router, SitaRebandsOverTheAliveNodes) {
+  const BoundedParetoSampler bp(1.5, 0.1, 100.0);
+  AssignmentRouter r(AssignmentPolicy::kSizeInterval, 4, Rng(4), bp);
+  const auto four = sita_equal_load_cutoffs(bp, 4);
+  ASSERT_EQ(r.cutoffs(), four);
+  EXPECT_EQ(r.route(bp.min_value(), {}), 0u);
+  EXPECT_EQ(r.route(0.5 * (four[0] + four[1]), {}), 1u);
+  EXPECT_EQ(r.route(bp.max_value(), {}), 3u);
+
+  // Three survivors: three bands, band k on the k-th alive node.
   r.set_alive(1, false);
-  EXPECT_EQ(r.route(1.5, {}), 2u);  // band 1 -> next alive
+  const auto three = sita_equal_load_cutoffs(bp, 3);
+  ASSERT_EQ(r.cutoffs(), three);
+  EXPECT_EQ(r.route(bp.min_value(), {}), 0u);
+  EXPECT_EQ(r.route(0.5 * (three[0] + three[1]), {}), 2u);
+  EXPECT_EQ(r.route(bp.max_value(), {}), 3u);
+
   r.set_alive(3, false);
-  EXPECT_EQ(r.route(9.0, {}), 0u);  // band 3 wraps to node 0
-  EXPECT_EQ(r.route(0.5, {}), 0u);  // alive bands stay home
+  ASSERT_EQ(r.cutoffs(), sita_equal_load_cutoffs(bp, 2));
+  EXPECT_EQ(r.route(bp.min_value(), {}), 0u);
+  EXPECT_EQ(r.route(bp.max_value(), {}), 2u);
+
+  // Revival restores the original bands.
+  r.set_alive(1, true);
+  r.set_alive(3, true);
+  EXPECT_EQ(r.cutoffs(), four);
+}
+
+TEST(Router, SitaKillLeavesEveryAliveNodeEqualWork) {
+  // After a kill each survivor's band carries the same share of E[X],
+  // checked by quadrature on x f(x): no survivor inherits a second band.
+  const BoundedParetoSampler bp(1.5, 0.1, 100.0);
+  AssignmentRouter r(AssignmentPolicy::kSizeInterval, 4, Rng(4), bp);
+  r.set_alive(2, false);
+  const auto& cuts = r.cutoffs();
+  ASSERT_EQ(cuts.size(), 2u);
+  const double total = bp_work(bp, bp.min_value(), bp.max_value());
+  std::vector<double> edges = {bp.min_value()};
+  edges.insert(edges.end(), cuts.begin(), cuts.end());
+  edges.push_back(bp.max_value());
+  const std::size_t owners[] = {0, 1, 3};
+  for (std::size_t band = 0; band < 3; ++band) {
+    const double lo = edges[band];
+    const double hi = edges[band + 1];
+    EXPECT_EQ(r.route(0.5 * (lo + hi), {}), owners[band]) << band;
+    EXPECT_NEAR(bp_work(bp, lo, hi) / total, 1.0 / 3.0, 1e-3) << band;
+  }
 }
 
 TEST(Router, RoundRobinSkipsDeadNodes) {

@@ -130,6 +130,33 @@ TEST(ClusterRt, HoldsClusterWideRatioUnderSitaE) {
   }
 }
 
+TEST(ClusterRt, HoldsClusterWideRatioUnderSitaEAcrossANodeKill) {
+  // A kill re-splits the size law into one equal-work band per survivor, so
+  // no survivor inherits the dead node's band on top of its own.  One that
+  // did would run at twice the others' load (1.2 of its capacity here): its
+  // queues would grow for the rest of the run and its mean slowdowns pass
+  // 1000, while the re-banded survivors' stay below 20.
+  auto cfg = base_cfg({AssignmentPolicy::kSizeInterval});
+  cfg.node.warmup = 1.0;
+  cfg.node.duration = 6.0;
+  cfg.kill_node = 1;
+  cfg.kill_at = 1.5;
+  const rt::ClusterReport r = run_manual(cfg);
+  EXPECT_FALSE(r.node[1].alive);
+  EXPECT_LE(r.max_window_ratio_error, 0.15);
+  EXPECT_NEAR(r.settle_onset, 1.5, 1e-9);
+  for (std::size_t i = 0; i < r.node.size(); ++i) {
+    if (!r.node[i].alive) continue;
+    for (const auto& cls : r.node[i].rt.cls) {
+      EXPECT_LT(cls.mean_slowdown, 100.0) << "node " << i;
+    }
+  }
+  // The survivors' bands still follow the law: smaller sizes are the more
+  // frequent, so dispatch counts fall with band index.
+  EXPECT_GT(r.node[0].dispatched, r.node[2].dispatched);
+  EXPECT_GT(r.node[2].dispatched, r.node[3].dispatched);
+}
+
 TEST(ClusterRt, NodeKillReconvergesWithinSettleBound) {
   auto cfg = base_cfg({AssignmentPolicy::kJsq, 2});
   cfg.node.duration = 5.0;
@@ -152,10 +179,9 @@ TEST(ClusterRt, NodeKillReconvergesWithinSettleBound) {
 }
 
 TEST(ClusterRt, SitaKillKeepsEveryNodeWithinCapacity) {
-  // SITA-E reroutes the dead node's size band wholesale onto one survivor,
-  // so a split that followed the bands would hand that node twice a node's
-  // share of the rates — more than its capacity.  Every alive node gets an
-  // equal capacity share instead, and the run completes.
+  // After a kill every alive node gets an equal capacity share (and, under
+  // SITA-E, an equal-work band); no node's rates may exceed its capacity,
+  // and the run completes.
   auto cfg = base_cfg({AssignmentPolicy::kSizeInterval});
   cfg.kill_node = 1;
   cfg.kill_at = 1.5;

@@ -13,11 +13,14 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 
 #include "obs/counters.hpp"
+#include "obs/exporter.hpp"
 #include "obs/prof.hpp"
+#include "rt/controller.hpp"
 #include "rt/clock.hpp"
 #include "rt/runtime.hpp"
 #include "rt/shard.hpp"
@@ -327,6 +330,29 @@ TEST(RuntimeObs, PrometheusTextRendersEveryFamily) {
     EXPECT_NE(text.find(family), std::string::npos) << family;
   }
   std::remove(cfg.obs.stats_path.c_str());
+}
+
+TEST(RuntimeObs, PrometheusTextKeepsNonFiniteValuesLiteral) {
+  // A request stamped at -inf waits inf in the ingress histogram, whose sum
+  // then carries inf.  The text format parses Inf, so a scrape writes it as
+  // printf's "%.17g" does ("inf"), where the JSONL stream writes null.
+  Shard shard(telemetry_shard_config(), Rng(5));
+  ASSERT_TRUE(shard.submit(
+      make_request(0, -std::numeric_limits<double>::infinity(), 0.01)));
+  shard.drain(1.0);
+  shard.drain(5.0);
+  shard.finalize(5.0);
+  rt::ControllerConfig cc;
+  cc.delta = {1.0, 2.0};
+  rt::Controller controller(cc, {{&shard}});
+  obs::ObsConfig oc;
+  oc.enabled = true;
+  obs::StatsExporter exporter(oc, {&shard}, &controller, {}, true);
+  const std::string text = exporter.prometheus_text();
+  EXPECT_NE(text.find("psd_rt_ingress_wait_seconds_sum{shard=\"0\",cls=\"0\"}"
+                      " inf\n"),
+            std::string::npos)
+      << text;
 }
 
 TEST(RuntimeObs, ControllerTraceAdvancesWithCursor) {

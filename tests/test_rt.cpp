@@ -397,6 +397,25 @@ TEST(Runtime, TraceReplayDeliversEveryEntry) {
   EXPECT_EQ(r.dropped, 0u);
 }
 
+TEST(Runtime, ReportsGeneratorLatenessApartFromIngress) {
+  // Replay is relative to the first entry: entries at 0.3 and 0.7 ms are
+  // due at 0 and 0.4 ms, and one step to 1 ms emits both, 1.0 and 0.6 ms
+  // after they were due.
+  RtConfig cfg = small_runtime_config();
+  cfg.size_dist = DistSpec::deterministic(1.0);
+  const Trace trace = {{0.3, 0, 1.0}, {0.7, 1, 1.0}};
+  Runtime runtime(cfg, ManualClock{}, trace, 1e-3);
+  runtime.step_to(1e-3);
+  const RtReport r = runtime.report();
+  EXPECT_EQ(r.produced, 2u);
+  EXPECT_NEAR(r.gen_late_mean, 0.8e-3, 1e-15);
+
+  // A synthetic drive in 20-ms steps emits each arrival at the end of the
+  // step it falls in: half a step late on average.
+  EXPECT_NEAR(drive_manual(small_runtime_config()).gen_late_mean, 0.01,
+              1e-3);
+}
+
 TEST(Runtime, ThreadedRunRejectsManualClockAndViceVersa) {
   RtConfig cfg = small_runtime_config();
   Runtime manual(cfg, ManualClock{});

@@ -138,6 +138,99 @@ TEST(Grid, PointSeedDependsOnMasterAndContent) {
   EXPECT_EQ(derive_point_seed(42, a), derive_point_seed(42, a));
 }
 
+// Keys and seeds pinned to the values earlier versions computed: a change to
+// the canonical string (a field, a separator, a digit of a rendered double)
+// would orphan every resume file and reseed every point, and no within-build
+// comparison would notice.
+TEST(Grid, KeysAndSeedsArePinnedAcrossVersions) {
+  struct Golden {
+    const char* name;
+    ScenarioConfig cfg;
+    const char* key;
+    std::uint64_t seed42;
+  };
+  std::vector<Golden> golden;
+  ScenarioConfig paper;  // the paper grid's base: eq. 17, BP(1.5, 0.1, 100)
+  {
+    ScenarioConfig c = paper;
+    c.delta = {1.0, 4.0};
+    c.load = 0.3;
+    golden.push_back({"dedicated", c, "d95acacee58f449f",
+                      0x3b6f339bdb2dc537ULL});
+  }
+  {
+    ScenarioConfig c = paper;
+    c.delta = {1.0, 8.0};
+    c.load = 0.7;
+    c.backend = BackendKind::kSfq;
+    golden.push_back({"sfq", c, "c6f50868f2741ca3", 0xa1f0b9e993661855ULL});
+  }
+  {
+    ScenarioConfig c;
+    c.load = 1.4;
+    c.admission = AdmissionSpec::parse("delta-aware:0.8");
+    golden.push_back({"delta-aware gate", c, "201a41f238d235d0",
+                      0x27f2d0d76ee0934dULL});
+  }
+  {
+    ScenarioConfig c;
+    c.profile = LoadProfile::parse("spike:20000,5000,1.6");
+    golden.push_back({"spike profile", c, "dd9b8b5cd1c8d3ca",
+                      0xc382bf8b7e7de64fULL});
+  }
+  {
+    ScenarioConfig c;
+    c.load = 0.6;
+    c.arrivals = ArrivalKind::kBursty;
+    c.burstiness = 4.0;
+    c.mmpp_sojourn = 20.0;
+    c.mmpp_duty = 0.25;
+    golden.push_back({"mmpp", c, "ca1c13d42730c3ff", 0x2fe714a51c3a82aaULL});
+  }
+  {
+    ScenarioConfig c;
+    c.load = 0.6;
+    c.cluster_nodes = 4;
+    c.cluster_policy = AssignmentPolicy::kJsq;
+    c.cluster_jsq_d = 2;
+    golden.push_back({"4-node jsq2", c, "22e1e600808852d2",
+                      0xb03d266eb2d03e19ULL});
+  }
+  for (const Golden& g : golden) {
+    g.cfg.validate();
+    EXPECT_EQ(config_key(g.cfg), g.key) << g.name;
+    EXPECT_EQ(derive_point_seed(42, g.cfg), g.seed42) << g.name;
+    EXPECT_EQ(derive_point_seed(42, config_hash(g.cfg)), g.seed42) << g.name;
+  }
+}
+
+TEST(Grid, PointCarriesTheHashOfItsCanonicalConfig) {
+  GridSpec grid = tiny_grid();
+  grid.admissions = {AdmissionSpec{}, AdmissionSpec::parse("delta-aware:0.8")};
+  for (const CampaignPoint& p : expand_grid(grid)) {
+    EXPECT_EQ(p.hash, config_hash(p.cfg)) << p.label;
+    EXPECT_EQ(p.key, config_key(p.cfg)) << p.label;
+  }
+}
+
+TEST(Grid, LabelsRenderEveryAxisValue) {
+  GridSpec grid;
+  grid.deltas = {{1.0, 2.5}};
+  grid.loads = {0.35};
+  grid.cluster_nodes = {4};
+  grid.cluster_policies = {AssignmentPolicy::kJsq};
+  grid.rate_changes = {RateChangePolicy::kFinishAtOldRate};
+  grid.profiles = {LoadProfile::parse("spike:20000,5000,1.6")};
+  grid.admissions = {AdmissionSpec::parse("delta-aware:0.8")};
+  const auto points = expand_grid(grid);
+  ASSERT_EQ(points.size(), 1u);
+  EXPECT_EQ(points[0].key, "3b9636c9f6456338");  // pinned, as above
+  EXPECT_EQ(points[0].label,
+            "delta=1:2.5 load=0.35 backend=dedicated alloc=psd "
+            "dist=bp:1.5,0.1,100 rate_change=finish nodes=4 policy=jsq2 "
+            "profile=spike:20000,5000,1.6 admission=delta-aware:0.8");
+}
+
 TEST(Json, NumbersRoundTripAndNonFiniteBecomesNull) {
   EXPECT_EQ(json_number(0.5), "0.5");
   EXPECT_EQ(json_number(std::nan("")), "null");

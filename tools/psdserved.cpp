@@ -314,6 +314,9 @@ int serve_node(rt::RtConfig cfg, const Options& opt) {
     t.add_row(row);
   }
   t.print(std::cout);
+  std::cout << "ingress us includes the generators' own lateness (due time "
+               "to emission): "
+            << Table::fmt(r.gen_late_mean * 1e6, 1) << " us mean\n";
 
   std::cout << "\nthroughput: " << Table::fmt(r.requests_per_sec, 0)
             << " req/s  (produced " << r.produced << ", completed "
@@ -513,6 +516,8 @@ int serve_cluster(const rt::ClusterRtConfig& cfg, const Options& opt) {
     std::cout << ", lost to kill " << r.lost_to_kill;
   }
   std::cout << " over " << Table::fmt(r.elapsed, 2) << "s\n";
+  std::cout << "generator lateness (due time to emission): "
+            << Table::fmt(r.gen_late_mean * 1e6, 1) << " us mean\n";
   std::cout << "global controller: " << r.global_ticks << " ticks, "
             << r.rebalances << " rebalances; dispatch "
             << Table::fmt(r.mean_dispatch_ns, 0) << " ns/req\n";
