@@ -82,19 +82,10 @@ inline std::string record_field(const std::string& line,
   return line.substr(start, end - start);
 }
 
-/// One benchmark record; `extra` is pre-rendered JSON key/values, e.g.
-/// "\"impl\":\"pooled\",\"backlog\":4096".  Replaces any existing record
+/// Write the record `line` of (suite, bench): replaces any existing record
 /// with the same (suite, bench, impl); all other lines are preserved.
-inline void emit_record(const std::string& path, const std::string& suite,
-                        const std::string& bench, const std::string& extra,
-                        double ns_per_op, std::uint64_t iters) {
-  std::ostringstream os;
-  os << "{\"suite\":\"" << suite << "\",\"bench\":\"" << bench << "\"";
-  if (!extra.empty()) os << ',' << extra;
-  os << ",\"ns_per_op\":" << json_num(ns_per_op)
-     << ",\"ops_per_sec\":" << json_num(1e9 / ns_per_op)
-     << ",\"iters\":" << iters << "}";
-  const std::string line = os.str();
+inline void write_record(const std::string& path, const std::string& suite,
+                         const std::string& bench, const std::string& line) {
   const std::string impl = record_field(line, "impl");
 
   std::string kept;  // every line whose key differs from the new record's
@@ -128,6 +119,46 @@ inline void emit_record(const std::string& path, const std::string& suite,
     std::cerr << "warning: could not write record to " << path << '\n';
   }
   std::cout << line << '\n';
+}
+
+/// "{"suite":...,"bench":...[,extra]" — an open record line.
+inline std::string record_head(const std::string& suite,
+                               const std::string& bench,
+                               const std::string& extra) {
+  std::string head =
+      "{\"suite\":\"" + suite + "\",\"bench\":\"" + bench + "\"";
+  if (!extra.empty()) head += "," + extra;
+  return head;
+}
+
+/// One benchmark record gated on ns_per_op, lower is better; `extra` is
+/// pre-rendered JSON key/values, e.g. "\"impl\":\"pooled\",\"backlog\":4096".
+inline void emit_record(const std::string& path, const std::string& suite,
+                        const std::string& bench, const std::string& extra,
+                        double ns_per_op, std::uint64_t iters) {
+  std::ostringstream os;
+  os << record_head(suite, bench, extra)
+     << ",\"ns_per_op\":" << json_num(ns_per_op)
+     << ",\"ops_per_sec\":" << json_num(1e9 / ns_per_op)
+     << ",\"iters\":" << iters << "}";
+  write_record(path, suite, bench, os.str());
+}
+
+/// One record gated on its own field: `metric` names the field carrying
+/// `value`, and `better` ("lower" or "higher") is the direction
+/// tools/bench_gate.py gates it in.
+inline void emit_metric_record(const std::string& path,
+                               const std::string& suite,
+                               const std::string& bench,
+                               const std::string& extra,
+                               const std::string& metric, double value,
+                               const std::string& better,
+                               std::uint64_t iters) {
+  std::ostringstream os;
+  os << record_head(suite, bench, extra) << ",\"metric\":\"" << metric
+     << "\",\"better\":\"" << better << "\",\"" << metric
+     << "\":" << json_num(value) << ",\"iters\":" << iters << "}";
+  write_record(path, suite, bench, os.str());
 }
 
 }  // namespace psd::bench

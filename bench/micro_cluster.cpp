@@ -8,11 +8,11 @@
 //                        nodes, the pure dispatch overhead every cluster
 //                        arrival pays (min-of-k, machine-dependent).
 //   * quality_<policy> — cluster-wide windowed-median ratio error of a
-//                        4-node ManualClock run, ENCODED as ns_per_op =
-//                        1e4 x error so the ordinary ns_per_op gate arms
-//                        it.  The run is bitwise deterministic, so the
-//                        gated value moves only when behavior changes —
-//                        this is a drift tripwire, not a perf number.
+//                        4-node ManualClock run, gated as
+//                        window_ratio_error (lower is better).  The run is
+//                        bitwise deterministic, so the gated value moves
+//                        only when behavior changes — this is a drift
+//                        tripwire, not a perf number.
 //
 //   ./micro_cluster [records.json]     (default BENCH_cluster.json)
 #include <string>
@@ -103,12 +103,10 @@ int main(int argc, char** argv) {
   for (const AssignmentSpec& spec :
        {AssignmentSpec{AssignmentPolicy::kJsq, 2},
         AssignmentSpec{AssignmentPolicy::kSizeInterval}}) {
-    const double err = quality_ratio_error(spec);
-    bench::emit_record(path, "cluster", "quality_" + spec.name(),
-                       "\"impl\":\"manualclock\",\"nodes\":4,"
-                       "\"window_ratio_error\":" +
-                           bench::json_num(err),
-                       err * 1e4, 1);
+    bench::emit_metric_record(path, "cluster", "quality_" + spec.name(),
+                              "\"impl\":\"manualclock\",\"nodes\":4",
+                              "window_ratio_error", quality_ratio_error(spec),
+                              "lower", 1);
   }
   return 0;
 }

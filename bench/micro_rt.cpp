@@ -37,7 +37,6 @@ double shard_drain_rep_ns(bool telemetry, bool tracing,
   psd::rt::ShardConfig cfg;
   cfg.num_classes = 2;
   cfg.window = 0.05;
-  cfg.bucket_burst_seconds = 10.0;
   cfg.telemetry = telemetry;
   cfg.tracing = tracing;
   cfg.trace_sample_period = 64;

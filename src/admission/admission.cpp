@@ -179,15 +179,15 @@ TokenBucketGate::TokenBucketGate(std::size_t num_classes, double mean_size,
   const double rate =
       threshold * capacity / static_cast<double>(num_classes);
   const double burst = rate * burst_tu * mean_size / capacity;
-  buckets_.reserve(num_classes);
+  class_bucket_.reserve(num_classes);
   for (std::size_t c = 0; c < num_classes; ++c) {
-    buckets_.emplace_back(rate, burst, 0.0);
+    class_bucket_.emplace_back(rate, burst, 0.0);
   }
 }
 
 bool TokenBucketGate::admit_request(ClassId cls, Time now, double size) {
-  PSD_REQUIRE(cls < buckets_.size(), "class id out of range");
-  return buckets_[cls].try_consume(size, now);
+  PSD_REQUIRE(cls < class_bucket_.size(), "class id out of range");
+  return class_bucket_[cls].try_consume(size, now);
 }
 
 void AdmissionSpec::validate() const {

@@ -180,7 +180,7 @@ class TokenBucketGate final : public AdmissionController {
   std::string name() const override { return "token-bucket"; }
 
  private:
-  std::vector<rt::TokenBucket> buckets_;
+  std::vector<rt::TokenBucket> class_bucket_;
 };
 
 /// Copyable, comparable, serializable admission-policy spec (DistSpec /

@@ -82,13 +82,14 @@ ClusterRuntime::ClusterRuntime(ClusterRtConfig cfg, ClockVariant clock)
 
   // Load sources: the single-node Runtime's, except per-class rates scale
   // with the node count (cfg.node.load is per-SHARD utilization,
-  // cluster-wide) and every produced request lands in dispatch() via the
-  // sink instead of being sprayed over local shards.
+  // cluster-wide) and their sink is dispatch(), not a node's handle.
   gens_ = make_synthetic_sources(
       cfg_.node,
       static_cast<double>(cfg_.nodes) /
           static_cast<double>(cfg_.node.loadgens),
-      {}, [this](const Request& req) { dispatch(req); });
+      [this] {
+        return LoadSource::Sink([this](const Request& req) { dispatch(req); });
+      });
 
   load_signal_.assign(cfg_.nodes, 0.0);
   dispatched_.assign(cfg_.nodes, 0);
@@ -276,17 +277,8 @@ ClusterReport ClusterRuntime::run() {
   std::vector<std::thread> threads;
   threads.reserve(gens_.size() + 1);
   for (std::size_t g = 0; g < gens_.size(); ++g) {
-    threads.emplace_back([this, g, &stop_gen] {
-      LoadSource& gen = *gens_[g];
-      while (!stop_gen.load(std::memory_order_acquire)) {
-        gen.step_until(clock_.now());
-        const double dt = gen.next_time() - clock_.now();
-        if (dt > 0.0) {
-          std::this_thread::sleep_for(
-              std::chrono::duration<double>(std::min(dt, 1e-3)));
-        }
-      }
-    });
+    threads.emplace_back(
+        [this, g, &stop_gen] { run_source(*gens_[g], clock_, stop_gen); });
   }
 
   // One controller thread drives node ticks, global rebalances, AND the

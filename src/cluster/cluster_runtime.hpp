@@ -9,9 +9,9 @@
 //     seqlock snapshots, and a node controller pinned to AllocatorKind::
 //     kNone — node ticks publish snapshots and stage admission updates but
 //     never write rates, so the global controller is the single rate writer;
-//   * arrivals come from the runtime's own SyntheticLoadGen sources in sink
-//     mode: every produced request lands in dispatch(), which runs the
-//     AssignmentRouter (cluster/router.hpp — the identical policy
+//   * arrivals come from the runtime's own SyntheticLoadGen sources with
+//     dispatch() as their sink: every produced request lands there, which
+//     runs the AssignmentRouter (cluster/router.hpp — the identical policy
 //     implementation the simulation validates) and submits to the chosen
 //     node's handle;
 //   * the global controller is the node controller's own loop

@@ -22,20 +22,6 @@ namespace psd::obs {
 
 namespace {
 
-std::string uint_array(const std::uint64_t* v, std::size_t n) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i > 0) out += ',';
-    out += std::to_string(v[i]);
-  }
-  out += ']';
-  return out;
-}
-
-std::string double_array(const double* v, std::size_t n) {
-  return json_array(std::vector<double>(v, v + n));
-}
-
 /// Compact per-class summary of one Log2Hist; full buckets go to the
 /// Prometheus endpoint, the JSONL stream carries the queryable digest.
 std::string hist_json(const Log2Hist& h) {
@@ -62,6 +48,27 @@ std::string hist_array(const Log2Hist* h, std::size_t n) {
 }
 
 }  // namespace
+
+std::string decision_trace_json(
+    const std::vector<rt::ControllerTraceEntry>& entries) {
+  std::string out = "[";
+  for (const rt::ControllerTraceEntry& e : entries) {
+    const std::size_t n = e.num_classes;
+    JsonObject te;
+    te.field("t", e.time)
+        .field("tick", e.tick)
+        .field_bool("realloc", e.reallocated)
+        .field_bool("fresh_window", e.fresh_window)
+        .raw("lambda", json_array(e.lambda, n))
+        .raw("window_slowdown", json_array(e.window_slowdown, n))
+        .raw("rate_in", json_array(e.rate_in, n))
+        .raw("rate_out", json_array(e.rate_out, n));
+    if (out.size() > 1) out += ',';
+    out += te.str();
+  }
+  out += ']';
+  return out;
+}
 
 StatsExporter::StatsExporter(ObsConfig cfg, std::vector<rt::Shard*> shards,
                              rt::Controller* controller,
@@ -110,20 +117,19 @@ std::string StatsExporter::render_line(double now) {
         .field("t", s.time)
         .field("drains", s.drains)
         .field("windows", s.windows_closed)
-        .raw("drops", uint_array(s.drops_cls, n))
+        .raw("drops", json_array(s.drops_cls, n))
         // Additive split of the rejection taxonomy: "drops" above stays the
         // ring-full count it always was; "drops_shed" is the admission
         // gate's per-class policy sheds (all-zero without a gate).
-        .raw("drops_shed", uint_array(s.sheds_cls, n))
-        .raw("accepted", uint_array(s.accepted, n))
-        .raw("completed", uint_array(s.completed, n))
-        .raw("staged", uint_array(s.staged, n))
-        .raw("outstanding", uint_array(s.outstanding, n))
-        .raw("lambda_hat", double_array(s.lambda_hat, n))
-        .raw("rate", double_array(s.rate, n))
-        .raw("mean_slowdown", double_array(s.mean_slowdown, n))
-        .raw("window_slowdown", double_array(s.window_slowdown, n))
-        .raw("mean_ingress_wait", double_array(s.mean_ingress_wait, n));
+        .raw("drops_shed", json_array(s.sheds_cls, n))
+        .raw("accepted", json_array(s.accepted, n))
+        .raw("completed", json_array(s.completed, n))
+        .raw("outstanding", json_array(s.outstanding, n))
+        .raw("lambda_hat", json_array(s.lambda_hat, n))
+        .raw("rate", json_array(s.rate, n))
+        .raw("mean_slowdown", json_array(s.mean_slowdown, n))
+        .raw("window_slowdown", json_array(s.window_slowdown, n))
+        .raw("mean_ingress_wait", json_array(s.mean_ingress_wait, n));
 
     // Telemetry block: counters copied INTO the telemetry snapshot, so
     // hist counts and these counts are coherent with each other (the
@@ -134,8 +140,8 @@ std::string StatsExporter::render_line(double now) {
     JsonObject tel;
     tel.field("t", t.time)
         .field("sample_period", static_cast<std::uint64_t>(t.sample_period))
-        .raw("accepted", uint_array(t.accepted, n))
-        .raw("completions", uint_array(t.completions, n))
+        .raw("accepted", json_array(t.accepted, n))
+        .raw("completions", json_array(t.completions, n))
         .raw("ingress_wait", hist_array(t.ingress_wait, n))
         .raw("queue_delay", hist_array(t.queue_delay, n))
         .raw("slowdown", hist_array(t.slowdown, n));
@@ -151,29 +157,11 @@ std::string StatsExporter::render_line(double now) {
   ctl.field("t", cs.time)
       .field("ticks", cs.ticks)
       .field("allocations", cs.allocations)
-      .raw("lambda", double_array(cs.lambda, n))
-      .raw("rate", double_array(cs.rate, n))
-      .raw("window_slowdown", double_array(cs.window_slowdown, n));
-  {
-    std::string trace_json = "[";
-    bool first = true;
-    for (const auto& e : controller_->trace_since(&trace_cursor_)) {
-      JsonObject te;
-      te.field("t", e.time)
-          .field("tick", e.tick)
-          .field_bool("realloc", e.reallocated)
-          .field_bool("fresh_window", e.fresh_window)
-          .raw("lambda", double_array(e.lambda, n))
-          .raw("window_slowdown", double_array(e.window_slowdown, n))
-          .raw("rate_in", double_array(e.rate_in, n))
-          .raw("rate_out", double_array(e.rate_out, n));
-      if (!first) trace_json += ',';
-      first = false;
-      trace_json += te.str();
-    }
-    trace_json += ']';
-    ctl.raw("trace", trace_json);
-  }
+      .raw("lambda", json_array(cs.lambda, n))
+      .raw("rate", json_array(cs.rate, n))
+      .raw("window_slowdown", json_array(cs.window_slowdown, n))
+      .raw("trace",
+           decision_trace_json(controller_->trace_since(&trace_cursor_)));
 
   JsonObject line;
   line.field("schema", "psd.rt.stats.v1")
@@ -328,10 +316,6 @@ std::string StatsExporter::prometheus_text() const {
   family("psd_rt_outstanding", "gauge",
          [&](const rt::ShardSnapshot& s, std::size_t c) {
            return u64(s.outstanding[c]);
-         });
-  family("psd_rt_staged", "gauge",
-         [&](const rt::ShardSnapshot& s, std::size_t c) {
-           return u64(s.staged[c]);
          });
   family("psd_rt_lambda_hat", "gauge",
          [](const rt::ShardSnapshot& s, std::size_t c) {

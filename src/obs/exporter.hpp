@@ -35,6 +35,12 @@
 
 namespace psd::obs {
 
+/// The controller decision-trace entries as one JSON array — the rendering
+/// the stats stream ("controller.trace") and the flight bundle
+/// ("controller_trace") share.
+std::string decision_trace_json(
+    const std::vector<rt::ControllerTraceEntry>& entries);
+
 class StatsExporter {
  public:
   /// All pointers are borrowed and must outlive the exporter.

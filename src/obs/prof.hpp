@@ -32,7 +32,7 @@ enum ProfSlot : unsigned {
   kProfRingPush = 0,   ///< Shard::submit (producer threads).
   kProfRingPop,        ///< Ingress backlog ingestion within a drain.
   kProfDrain,          ///< Whole Shard::drain call.
-  kProfBucketRelease,  ///< Token-bucket staged-work release within a drain.
+  kProfBucketRelease,  ///< Untimed (reads 0); psdbench's ledger names it.
   kProfPublish,        ///< Seqlock snapshot publication.
   kProfControllerTick, ///< Whole Controller::tick.
   kProfAllocate,       ///< The eq.-17 allocator call inside a tick.

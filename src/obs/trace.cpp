@@ -158,7 +158,7 @@ void TraceWriter::write_realloc(double t, std::uint64_t tick,
   ensure_track(0, 0);
   JsonObject args;
   args.field("tick", tick).field_bool("fresh_window", fresh_window);
-  args.raw("rate", json_array(std::vector<double>(rate, rate + num_classes)));
+  args.raw("rate", json_array(rate, num_classes));
   JsonObject e;
   e.field("name", "realloc")
       .field("cat", "controller")

@@ -1,8 +1,8 @@
 // Request-lifecycle span tracing (schema "psd.rt.trace.v1").
 //
 // A Span is the causal record of one sampled request: producer ingress,
-// ring-pop admission verdict, staging release into the embedded server,
-// service start, and completion — each on the shared time axis — plus the
+// ring-pop admission verdict, submission to the embedded server, service
+// start, and completion — each on the shared time axis — plus the
 // controller tick whose allocation governed it.  Spans are recorded by the
 // shard thread into a per-shard lock-free SPSC ring (SpanRing) and drained
 // by the exporter thread into a Chrome trace-event JSON file (TraceWriter)
@@ -47,7 +47,9 @@ struct Span {
   std::uint64_t tick_seq = 0;  ///< Controller tick whose rates governed it.
   double t_ingress = 0.0;      ///< Producer arrival stamp.
   double t_admit = 0.0;        ///< Ring pop + admission verdict.
-  double t_pop = -1.0;         ///< Staging release into the server.
+  /// Submission to the server: the ring pop itself, so == t_admit on
+  /// admitted spans (kept for readers of the span schema).
+  double t_pop = -1.0;
   double t_start = -1.0;       ///< First service.
   double t_complete = -1.0;    ///< Completion.
   double size = 0.0;           ///< Work units.

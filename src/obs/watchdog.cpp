@@ -6,6 +6,7 @@
 #include <cstdlib>
 
 #include "common/error.hpp"
+#include "obs/exporter.hpp"
 #include "sweep/jsonl.hpp"
 
 namespace psd::obs {
@@ -24,20 +25,6 @@ const char* metric_name(SloMetric m) {
       return "settle";
   }
   PSD_UNREACHABLE("unknown SLO metric");
-}
-
-std::string uint_array(const std::uint64_t* v, std::size_t n) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i > 0) out += ',';
-    out += std::to_string(v[i]);
-  }
-  out += ']';
-  return out;
-}
-
-std::string double_array(const double* v, std::size_t n) {
-  return json_array(std::vector<double>(v, v + n));
 }
 
 std::string span_json(const Span& s) {
@@ -268,15 +255,14 @@ void Watchdog::dump_flight(double now,
     sh.field("shard", static_cast<std::uint64_t>(i))
         .field("t", s.time)
         .field("drains", s.drains)
-        .raw("accepted", uint_array(s.accepted, n))
-        .raw("completed", uint_array(s.completed, n))
-        .raw("sheds", uint_array(s.sheds_cls, n))
-        .raw("drops", uint_array(s.drops_cls, n))
-        .raw("staged", uint_array(s.staged, n))
-        .raw("outstanding", uint_array(s.outstanding, n))
-        .raw("lambda_hat", double_array(s.lambda_hat, n))
-        .raw("rate", double_array(s.rate, n))
-        .raw("window_slowdown", double_array(s.window_slowdown, n));
+        .raw("accepted", json_array(s.accepted, n))
+        .raw("completed", json_array(s.completed, n))
+        .raw("sheds", json_array(s.sheds_cls, n))
+        .raw("drops", json_array(s.drops_cls, n))
+        .raw("outstanding", json_array(s.outstanding, n))
+        .raw("lambda_hat", json_array(s.lambda_hat, n))
+        .raw("rate", json_array(s.rate, n))
+        .raw("window_slowdown", json_array(s.window_slowdown, n));
     if (i > 0) shards_json += ',';
     shards_json += sh.str();
   }
@@ -286,31 +272,14 @@ void Watchdog::dump_flight(double now,
   JsonObject ctl;
   ctl.field("ticks", cs.ticks)
       .field("allocations", cs.allocations)
-      .raw("lambda", double_array(cs.lambda, n))
-      .raw("rate", double_array(cs.rate, n));
+      .raw("lambda", json_array(cs.lambda, n))
+      .raw("rate", json_array(cs.rate, n));
 
   // The full retained decision-trace backlog: a fresh zero cursor returns
   // everything still in the controller's bounded ring.
-  std::string trace_json = "[";
-  {
-    std::uint64_t cursor = 0;
-    bool first = true;
-    for (const auto& e : controller_->trace_since(&cursor)) {
-      JsonObject te;
-      te.field("t", e.time)
-          .field("tick", e.tick)
-          .field_bool("realloc", e.reallocated)
-          .field_bool("fresh_window", e.fresh_window)
-          .raw("lambda", double_array(e.lambda, n))
-          .raw("window_slowdown", double_array(e.window_slowdown, n))
-          .raw("rate_in", double_array(e.rate_in, n))
-          .raw("rate_out", double_array(e.rate_out, n));
-      if (!first) trace_json += ',';
-      first = false;
-      trace_json += te.str();
-    }
-    trace_json += ']';
-  }
+  std::uint64_t cursor = 0;
+  const std::string trace_json =
+      decision_trace_json(controller_->trace_since(&cursor));
 
   std::string spans_json = "[";
   {

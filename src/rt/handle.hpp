@@ -7,9 +7,9 @@
 // deterministic tests injecting hand-built arrivals — needs only:
 //
 //   submit()            — inject one request (per-class round-robin over the
-//                         shards, the same spray discipline the internal
-//                         load sources use, so per-shard class mixes stay
-//                         aligned with the global mix),
+//                         shards, so per-shard class mixes stay aligned
+//                         with the global mix; a Runtime's own load
+//                         sources deliver through a handle each),
 //   shard_snapshots()   — read the seqlock-published per-shard state,
 //   outstanding()       — accepted requests not yet completed.
 //
@@ -17,7 +17,7 @@
 // itself, reachable through runtime().
 //
 // The handle is a non-owning view: it borrows the Runtime and adds only the
-// round-robin cursors.  submit() runs on one dispatcher thread at a time
+// round-robin cursors.  submit() runs on one thread at a time per handle
 // (the cursors are plain integers); snapshot readers are free.
 #pragma once
 

@@ -1,8 +1,14 @@
 #include "rt/loadgen.hpp"
 
 #include <algorithm>
+#include <chrono>
+#include <thread>
 
 namespace psd::rt {
+
+LoadSource::LoadSource(Sink sink) : sink_(std::move(sink)) {
+  PSD_REQUIRE(sink_ != nullptr, "load source needs a sink");
+}
 
 double mean_lateness(
     const std::vector<std::unique_ptr<LoadSource>>& sources) {
@@ -15,20 +21,28 @@ double mean_lateness(
   return produced > 0 ? late / static_cast<double>(produced) : kNaN;
 }
 
+void run_source(LoadSource& source, const ClockVariant& clock,
+                const std::atomic<bool>& stop) {
+  while (!stop.load(std::memory_order_acquire)) {
+    source.step_until(clock.now());
+    const double dt = source.next_time() - clock.now();
+    if (dt > 0.0) {
+      std::this_thread::sleep_for(
+          std::chrono::duration<double>(std::min(dt, 1e-3)));
+    }
+  }
+}
+
 SyntheticLoadGen::SyntheticLoadGen(std::uint32_t gen_id, Rng rng,
-                                   std::vector<ClassLoad> classes,
-                                   std::vector<Shard*> shards, Sink sink,
+                                   std::vector<ClassLoad> classes, Sink sink,
                                    Time start)
-    : rng_(std::move(rng)),
-      shards_(std::move(shards)),
+    : LoadSource(std::move(sink)),
+      rng_(std::move(rng)),
       id_base_(static_cast<std::uint64_t>(gen_id) << 48) {
-  PSD_REQUIRE(sink != nullptr || !shards_.empty(),
-              "load generator needs a shard or a sink");
   PSD_REQUIRE(!classes.empty(), "load generator needs at least one class");
-  set_sink(std::move(sink));
   streams_.reserve(classes.size());
   for (auto& cl : classes) {
-    Stream s{cl.cls, std::move(cl.arrivals), std::move(cl.sizes), 0.0, 0};
+    Stream s{cl.cls, std::move(cl.arrivals), std::move(cl.sizes), 0.0};
     s.next = start + s.arrivals.next_interarrival(rng_);
     streams_.push_back(std::move(s));
   }
@@ -56,18 +70,16 @@ void SyntheticLoadGen::step_until(Time t) {
     req.cls = earliest->cls;
     req.arrival = earliest->next;
     req.size = earliest->sizes.sample(rng_);
-    route(shards_, earliest->rr, req, t);
+    route(req, t);
     earliest->next += earliest->arrivals.next_interarrival(rng_);
   }
 }
 
 TraceLoadGen::TraceLoadGen(Trace trace, double time_scale,
-                           std::size_t num_classes, std::vector<Shard*> shards)
-    : trace_(std::move(trace)),
-      scale_(time_scale),
-      shards_(std::move(shards)),
-      rr_(num_classes, 0) {
-  PSD_REQUIRE(!shards_.empty(), "trace replay needs at least one shard");
+                           std::size_t num_classes, Sink sink)
+    : LoadSource(std::move(sink)),
+      trace_(std::move(trace)),
+      scale_(time_scale) {
   PSD_REQUIRE(time_scale > 0.0, "trace time scale must be positive");
   Time prev = -kInf;
   for (const auto& e : trace_) {
@@ -93,7 +105,7 @@ void TraceLoadGen::step_until(Time t) {
     req.cls = e.cls;
     req.arrival = (e.time - base_) * scale_;
     req.size = e.size;
-    route(shards_, rr_[e.cls], req, t);
+    route(req, t);
     ++idx_;
   }
 }

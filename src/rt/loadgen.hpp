@@ -1,11 +1,12 @@
 // Open-loop load sources for the serving runtime.
 //
 // A LoadSource produces every arrival with timestamp <= t when asked to
-// step_until(t) — the threaded driver calls it with the advancing wall
-// clock (sleeping toward next_time() between calls), the deterministic
-// driver calls it with a ManualClock time.  Arrivals are pushed straight
-// into shard MPSC rings; a full ring counts a drop and the source moves on
-// (open loop: overload never throttles the arrival process).
+// step_until(t) — the threaded driver (run_source) calls it with the
+// advancing wall clock, sleeping toward next_time() between calls; the
+// deterministic driver calls it with a ManualClock time.  Every arrival
+// goes to the source's Sink.  The Sink decides where it lands; a full
+// shard ring counts a drop there and the source moves on (open loop:
+// overload never throttles the arrival process).
 //
 //   * SyntheticLoadGen — per-class ArrivalVariant + SamplerVariant streams,
 //     the same sealed value types the simulator's RequestGenerator uses.
@@ -17,12 +18,12 @@
 //     drive the rt stack bit-for-bit (same classes, same sizes, same
 //     relative spacing).
 //
-// Requests are sprayed round-robin per class across the shard set, which
-// keeps per-shard class mixes aligned with the global mix (the controller's
-// equal-slice assumption).  Alternatively a source can be built with a Sink:
-// arrivals then go to the sink callback instead of a shard set, which is how
-// the cluster dispatcher interposes its assignment policy between the
-// generators and the nodes without the sources knowing about clusters.
+// A Runtime gives each of its sources its own RuntimeHandle as the sink
+// (rt/handle.hpp: a per-class round-robin over the node's shards, which
+// keeps per-shard class mixes aligned with the global mix); the cluster
+// gives its sources the dispatcher, which interposes its assignment policy
+// between the generators and the nodes without the sources knowing about
+// clusters.
 #pragma once
 
 #include <atomic>
@@ -31,7 +32,8 @@
 #include <memory>
 #include <vector>
 
-#include "rt/shard.hpp"
+#include "dist/sampler.hpp"
+#include "rt/clock.hpp"
 #include "workload/arrival.hpp"
 #include "workload/trace.hpp"
 
@@ -39,8 +41,8 @@ namespace psd::rt {
 
 class LoadSource {
  public:
-  /// Arrival consumer for sink-mode sources (cluster dispatch).  Called on
-  /// the generator's thread for every produced request.
+  /// Arrival consumer, called on the generator's thread for every produced
+  /// request.
   using Sink = std::function<void(const Request&)>;
 
   virtual ~LoadSource() = default;
@@ -63,22 +65,15 @@ class LoadSource {
   double late_seconds() const { return late_seconds_; }
 
  protected:
-  /// Drops are counted where they happen (Shard::submit), not here.  With a
-  /// sink installed the shard spray is bypassed entirely (`shards` may be
-  /// empty) and the sink owns routing.  `now` is the step_until time.
-  void route(std::vector<Shard*>& shards, std::size_t& rr, const Request& req,
-             Time now) {
+  explicit LoadSource(Sink sink);
+
+  /// Hand `req` to the sink.  Drops are counted where they happen
+  /// (Shard::submit), not here.  `now` is the step_until time.
+  void route(const Request& req, Time now) {
     produced_.fetch_add(1, std::memory_order_relaxed);
     late_seconds_ += now - req.arrival;
-    if (sink_) {
-      sink_(req);
-      return;
-    }
-    shards[rr]->submit(req);
-    rr = (rr + 1) % shards.size();
+    sink_(req);
   }
-
-  void set_sink(Sink sink) { sink_ = std::move(sink); }
 
  private:
   std::atomic<std::uint64_t> produced_{0};
@@ -90,6 +85,12 @@ class LoadSource {
 /// over sum of produced); NaN when none produced anything.
 double mean_lateness(const std::vector<std::unique_ptr<LoadSource>>& sources);
 
+/// A generator thread's whole life: emit everything due by the clock, then
+/// sleep toward the next due time (at most 1 ms, so a stop is seen within
+/// a millisecond), until `stop`.
+void run_source(LoadSource& source, const ClockVariant& clock,
+                const std::atomic<bool>& stop);
+
 class SyntheticLoadGen final : public LoadSource {
  public:
   struct ClassLoad {
@@ -98,14 +99,10 @@ class SyntheticLoadGen final : public LoadSource {
     SamplerVariant sizes;
   };
 
-  /// `gen_id` namespaces request ids across generator threads.  Arrivals
-  /// spray over `shards`; in sink mode (`sink` set — the cluster
-  /// dispatcher) every arrival goes to the sink instead and `shards` may be
-  /// empty.  Draw sequences are identical in both modes at the same seed —
-  /// only delivery differs.
+  /// `gen_id` namespaces request ids across generator threads.  The draw
+  /// sequence depends on the seed alone, never on the sink.
   SyntheticLoadGen(std::uint32_t gen_id, Rng rng,
-                   std::vector<ClassLoad> classes, std::vector<Shard*> shards,
-                   Sink sink, Time start);
+                   std::vector<ClassLoad> classes, Sink sink, Time start);
 
   void step_until(Time t) override;
   Time next_time() const override;
@@ -116,12 +113,10 @@ class SyntheticLoadGen final : public LoadSource {
     ArrivalVariant arrivals;
     SamplerVariant sizes;
     Time next;
-    std::size_t rr = 0;
   };
 
   Rng rng_;
   std::vector<Stream> streams_;
-  std::vector<Shard*> shards_;
   std::uint64_t count_ = 0;
   std::uint64_t id_base_;
 };
@@ -132,7 +127,7 @@ class TraceLoadGen final : public LoadSource {
   /// in raw model time replays at mean_service_seconds / E[X]); entries must
   /// be time-ordered with classes < num_classes.
   TraceLoadGen(Trace trace, double time_scale, std::size_t num_classes,
-               std::vector<Shard*> shards);
+               Sink sink);
 
   void step_until(Time t) override;
   Time next_time() const override;
@@ -142,8 +137,6 @@ class TraceLoadGen final : public LoadSource {
  private:
   Trace trace_;
   double scale_;
-  std::vector<Shard*> shards_;
-  std::vector<std::size_t> rr_;  ///< Per-class round-robin cursor.
   std::size_t idx_ = 0;
   Time base_ = 0.0;  ///< First entry's recorded time (replay is relative).
 };

@@ -8,6 +8,7 @@
 #include <thread>
 
 #include "dist/sampler.hpp"
+#include "rt/handle.hpp"
 #include "stats/convergence.hpp"
 #include "workload/class_spec.hpp"
 
@@ -16,6 +17,19 @@
 #endif
 
 namespace psd::rt {
+
+namespace {
+
+/// A sink of `rt`'s own for one load source: the source owns the handle, so
+/// its round-robin cursors are private to the source's thread and need no
+/// lock.
+LoadSource::Sink handle_sink(Runtime& rt) {
+  return [handle = RuntimeHandle(rt)](const Request& req) mutable {
+    handle.submit(req);
+  };
+}
+
+}  // namespace
 
 bool pin_current_thread(unsigned cpu) {
 #ifdef __linux__
@@ -78,7 +92,6 @@ void RtConfig::validate() const {
   PSD_REQUIRE(controller_period > 0.0, "controller period must be positive");
   PSD_REQUIRE(warmup >= 0.0 && warmup < duration,
               "need warmup in [0, duration)");
-  PSD_REQUIRE(bucket_burst_seconds > 0.0, "burst must be positive");
   if (arrivals.kind == ArrivalKind::kBursty) {
     PSD_REQUIRE(arrivals.burstiness >= 1.0, "burstiness must be >= 1");
     PSD_REQUIRE(arrivals.sojourn > 0.0, "mmpp sojourn must be positive");
@@ -97,7 +110,6 @@ void Runtime::build_shards(double shard_capacity) {
   sc.window = cfg_.controller_period;
   sc.estimator_history = cfg_.estimator_history;
   sc.warmup = cfg_.warmup;
-  sc.bucket_burst_seconds = cfg_.bucket_burst_seconds;
   sc.ingress_capacity = cfg_.ingress_capacity;
   sc.telemetry = cfg_.obs.enabled;
   sc.profile = cfg_.obs.profile;
@@ -177,8 +189,8 @@ void Runtime::init_exporter() {
 }
 
 std::vector<std::unique_ptr<LoadSource>> make_synthetic_sources(
-    const RtConfig& cfg, double rate_scale, const std::vector<Shard*>& shards,
-    const LoadSource::Sink& sink) {
+    const RtConfig& cfg, double rate_scale,
+    const std::function<LoadSource::Sink()>& make_sink) {
   const SamplerVariant sampler = make_sampler(cfg.size_dist);
   const auto lam = cfg.lambdas();
   Rng master(cfg.seed);
@@ -206,7 +218,7 @@ std::vector<std::unique_ptr<LoadSource>> make_synthetic_sources(
     }
     gens.push_back(std::make_unique<SyntheticLoadGen>(
         static_cast<std::uint32_t>(g), master.fork(100 + g),
-        std::move(classes), shards, sink, 0.0));
+        std::move(classes), make_sink(), 0.0));
   }
   return gens;
 }
@@ -217,7 +229,8 @@ Runtime::Runtime(RtConfig cfg, ClockVariant clock)
       next_tick_(cfg_.controller_period) {
   init_topology();
   gens_ = make_synthetic_sources(
-      cfg_, 1.0 / static_cast<double>(cfg_.loadgens), shard_ptrs());
+      cfg_, 1.0 / static_cast<double>(cfg_.loadgens),
+      [this] { return handle_sink(*this); });
   init_exporter();
 }
 
@@ -228,7 +241,7 @@ Runtime::Runtime(RtConfig cfg, ClockVariant clock, Trace trace,
       next_tick_(cfg_.controller_period) {
   init_topology();
   gens_.push_back(std::make_unique<TraceLoadGen>(
-      std::move(trace), time_scale, cfg_.num_classes(), shard_ptrs()));
+      std::move(trace), time_scale, cfg_.num_classes(), handle_sink(*this)));
   init_exporter();
 }
 
@@ -323,15 +336,7 @@ RtReport Runtime::run() {
         pin_current_thread(
             static_cast<unsigned>((shards_.size() + g) % hw));
       }
-      LoadSource& gen = *gens_[g];
-      while (!stop_gen.load(std::memory_order_acquire)) {
-        gen.step_until(clock_.now());
-        const double dt = gen.next_time() - clock_.now();
-        if (dt > 0.0) {
-          std::this_thread::sleep_for(std::chrono::duration<double>(
-              std::min(dt, 1e-3)));
-        }
-      }
+      run_source(*gens_[g], clock_, stop_gen);
     });
   }
   threads.emplace_back([this, hw, &stop_rest] {
@@ -387,8 +392,8 @@ RtReport Runtime::run() {
   if (watchdog_ != nullptr) watchdog_->disarm();
 
   // Grace period: shards keep draining until the accepted backlog clears
-  // (bounded — a near-zero-rate class paying off a token deficit may
-  // legitimately never finish).
+  // (bounded — a class allocated a near-zero rate may legitimately hold
+  // work its dedicated server will not finish in time).
   const Time grace_end = clock_.now() + 2.0;
   while (clock_.now() < grace_end && total_outstanding() > 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));

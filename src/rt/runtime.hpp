@@ -18,6 +18,7 @@
 // shard capacity at E[X]/mean_service_seconds work units per second.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -73,7 +74,6 @@ struct RtConfig {
   double duration = 3.0;  ///< Total run length, warmup included.
 
   // --- plumbing ---
-  double bucket_burst_seconds = 0.1;
   std::size_t ingress_capacity = 1 << 14;
   std::uint64_t seed = 0x5EEDBA5EULL;
 
@@ -174,6 +174,10 @@ class Runtime {
   /// driver's statistic.
   Runtime(RtConfig cfg, ClockVariant clock, EmbeddedTag);
 
+  /// Pinned: load sources and the exporter hold its address.
+  Runtime(const Runtime&) = delete;
+  Runtime& operator=(const Runtime&) = delete;
+
   // --- threaded drive (SteadyClock) ---
 
   /// Spawn generator/shard/controller threads, run for cfg.duration, drain,
@@ -239,11 +243,10 @@ bool pin_current_thread(unsigned cpu);
 /// generator g drawing from Rng(cfg.seed).fork(100 + g), each running every
 /// class at cfg.lambdas()[c] x `rate_scale` — 1 / loadgens for one node,
 /// nodes / loadgens for a cluster (cfg.load is per-shard utilization).
-/// With a `sink` every arrival goes there; otherwise it sprays over
-/// `shards`.
+/// Generator g delivers to the g-th sink `make_sink` returns.
 std::vector<std::unique_ptr<LoadSource>> make_synthetic_sources(
-    const RtConfig& cfg, double rate_scale, const std::vector<Shard*>& shards,
-    const LoadSource::Sink& sink = {});
+    const RtConfig& cfg, double rate_scale,
+    const std::function<LoadSource::Sink()>& make_sink);
 
 /// The windowed ratio statistics of a pool of shards — one node's, or every
 /// node's in a cluster.  Per class c >= 1: the median of the pooled

@@ -69,7 +69,6 @@ void futex_wake(std::atomic<std::uint32_t>& word) {
 Shard::Shard(const ShardConfig& cfg, Rng rng)
     : cfg_(cfg),
       ingress_(cfg.ingress_capacity),
-      staged_(cfg.num_classes),
       estimator_(cfg.num_classes, cfg.window, cfg.estimator_history),
       next_roll_(cfg.window),
       accepted_(cfg.num_classes, 0),
@@ -77,12 +76,10 @@ Shard::Shard(const ShardConfig& cfg, Rng rng)
       ingress_wait_(cfg.num_classes),
       lambda_cache_(cfg.num_classes, 0.0),
       window_sd_cache_(cfg.num_classes, kNaN),
-      window_seq_cache_(cfg.num_classes, 0),
-      released_(cfg.num_classes, 0) {
+      window_seq_cache_(cfg.num_classes, 0) {
   PSD_REQUIRE(cfg.num_classes >= 1 && cfg.num_classes <= kMaxRtClasses,
               "shard supports 1..kMaxRtClasses classes");
   PSD_REQUIRE(cfg.window > 0.0, "window must be positive");
-  PSD_REQUIRE(cfg.bucket_burst_seconds > 0.0, "burst must be positive");
   PSD_REQUIRE(cfg.telemetry_sample_period >= 1 &&
                   (cfg.telemetry_sample_period &
                    (cfg.telemetry_sample_period - 1)) == 0,
@@ -139,11 +136,6 @@ Shard::Shard(const ShardConfig& cfg, Rng rng)
   });
 
   rates_ = server_->current_rates();
-  const double burst = cfg.capacity * cfg.bucket_burst_seconds;
-  buckets_.reserve(cfg.num_classes);
-  for (std::size_t c = 0; c < cfg.num_classes; ++c) {
-    buckets_.emplace_back(rates_[c], burst, 0.0);
-  }
 
   // Telemetry allocations come LAST so the heap layout of everything on the
   // hot path (server, simulator, queues) is identical whether telemetry is
@@ -266,7 +258,7 @@ std::size_t Shard::drain(Time now) {
   sim_.run_until(now);
 
   // 2. Adopt a controller handoff, effective `now` (in-service work is
-  //    settled at the old rate up to here; buckets likewise).
+  //    settled at the old rate up to here).
   {
     std::lock_guard<std::mutex> lock(pending_m_);
     if (has_pending_) {
@@ -274,9 +266,6 @@ std::size_t Shard::drain(Time now) {
       ctrl_tick_seq_ = pending_tick_seq_;
       has_pending_ = false;
       server_->set_rates(rates_);
-      for (std::size_t c = 0; c < buckets_.size(); ++c) {
-        buckets_[c].set_rate(rates_[c], now);
-      }
     }
     // Gate decisions latch here, once per staged controller update (i.e.
     // per estimation window) — the shard thread owns all gate state, the
@@ -287,16 +276,17 @@ std::size_t Shard::drain(Time now) {
     }
   }
 
-  // 3. Ingest the ingress backlog into the per-class staging queues.  The
-  //    request's queueing clock starts here: time spent in flight between
-  //    the producer and this pop is reported separately (mean_ingress_wait),
-  //    so slowdown measurements stay on the exact simulator time axis.
+  // 3. Submit the ingress backlog to the embedded server, whose
+  //    dedicated-rate backend holds each class to its rate.  The request's
+  //    queueing clock starts here: time spent in flight between the
+  //    producer and this pop is reported separately (mean_ingress_wait), so
+  //    slowdown measurements stay on the exact simulator time axis.
   Request req;
   std::size_t popped = 0;
   {
     obs::ScopedProfTimer prof_pop(&prof_, obs::kProfRingPop);
-    // Hoisted: the opaque push_back below would otherwise force a reload
-    // every iteration.  All-ones when telemetry/tracing is off (never fires).
+    // Hoisted: the opaque submit below would otherwise force a reload every
+    // iteration.  All-ones when telemetry/tracing is off (never fires).
     const std::uint64_t mask = sample_mask_;
     const std::uint64_t tmask = trace_mask_;
     while (ingress_.try_pop(req)) {
@@ -328,30 +318,12 @@ std::size_t Shard::drain(Time now) {
       if ((accepted_[c] & tmask) == 0) trace_admit(c, req, now);
       req.arrival = now;
       estimator_.on_arrival(c, req.size);
-      staged_[c].push_back(req);
+      server_->submit(req);
     }
     if (popped > 0) ingress_.publish_consumed();
   }
 
-  // 4. Release staged work the token buckets can pay for.
-  {
-    obs::ScopedProfTimer prof_release(&prof_, obs::kProfBucketRelease);
-    const std::uint64_t tmask = trace_mask_;
-    for (std::size_t c = 0; c < staged_.size(); ++c) {
-      auto& q = staged_[c];
-      while (!q.empty() && buckets_[c].try_consume(q.front().size, now)) {
-        server_->submit(q.front());
-        q.pop_front();
-        // Release ordinal == accepted ordinal (staging is FIFO), so the
-        // admission-sampled requests are exactly the ones that fire here.
-        if ((++released_[c] & tmask) == 0) {
-          trace_release(static_cast<ClassId>(c), now);
-        }
-      }
-    }
-  }
-
-  // 5. Roll estimator windows that closed by `now` and refresh the cached
+  // 4. Roll estimator windows that closed by `now` and refresh the cached
   //    estimates the controller consumes.
   bool rolled = false;
   while (next_roll_ <= now) {
@@ -395,21 +367,11 @@ void Shard::trace_admit(ClassId c, const Request& req, Time now) {
   p.span.tick_seq = ctrl_tick_seq_;
   p.span.t_ingress = req.arrival;  // caller runs this hook pre-rewrite
   p.span.t_admit = now;
+  p.span.t_pop = now;  // submitted to the server in the same pop
   p.span.size = req.size;
   p.span.cls = c;
   p.span.shard = cfg_.shard_id;
   pending_spans_[c].push_back(p);
-}
-
-void Shard::trace_release(ClassId c, Time now) {
-  // Front-biased scan: releases happen in ordinal order, so the match is
-  // almost always the first entry without a t_pop yet.
-  for (PendingTrace& p : pending_spans_[c]) {
-    if (p.ordinal == released_[c]) {
-      p.span.t_pop = now;
-      return;
-    }
-  }
 }
 
 void Shard::trace_complete(const Request& req) {
@@ -458,7 +420,6 @@ void Shard::publish(Time now) {
     s.drops += s.drops_cls[c];
     s.accepted[c] = accepted_[c];
     s.completed[c] = metrics.completed(cls);
-    s.staged[c] = staged_[c].size();
     s.outstanding[c] = accepted_[c] - done_cls_[c];
     s.lambda_hat[c] = lambda_cache_[c];
     s.mean_slowdown[c] = metrics.slowdown(cls).mean();

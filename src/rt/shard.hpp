@@ -12,12 +12,13 @@
 // deterministic under ManualClock).
 //
 // Ingress is a lock-free MPSC ring fed by the load-generator threads; on
-// pop, a request is stamped with its shard-entry time and parked in a
-// per-class staging queue behind a deficit token bucket charged at the
-// class's allocated rate.  The bucket is the rt-side rate enforcement
-// derived from psd_allocation: a class consumes work no faster than r_c in
-// the long run, and time spent staged counts toward its queueing delay (the
-// differentiation the controller is steering).
+// pop, a request passes the admission gate (if any), is stamped with its
+// shard-entry time and goes straight into the embedded server.  The
+// allocation lands in one place: the server's DedicatedRateBackend serves
+// class c at its allocated rate r_c in model time (the paper's per-class
+// task servers), so a class never consumes work faster than r_c and its
+// queueing delay is what the controller steers (src/rt/README.md, "Rate
+// enforcement").
 //
 // serve() is the shard thread's whole life: drain(now), then park(now),
 // until request_stop().  An idle shard parks on a futex word and the
@@ -48,7 +49,6 @@
 #include "rt/clock.hpp"
 #include "rt/mpsc_queue.hpp"
 #include "rt/seqlock.hpp"
-#include "rt/token_bucket.hpp"
 #include "server/load_estimator.hpp"
 #include "server/server.hpp"
 #include "stats/histogram.hpp"
@@ -82,7 +82,6 @@ struct ShardSnapshot {
   std::uint64_t sheds_cls[kMaxRtClasses] = {};
   std::uint64_t accepted[kMaxRtClasses] = {};   ///< Popped and admitted.
   std::uint64_t completed[kMaxRtClasses] = {};  ///< Post-warmup completions.
-  std::uint64_t staged[kMaxRtClasses] = {};     ///< Waiting behind buckets.
   std::uint64_t outstanding[kMaxRtClasses] = {};  ///< In shard, not done.
   double lambda_hat[kMaxRtClasses] = {};  ///< ADMITTED arrivals/sec.
   /// OFFERED arrivals/sec including gate sheds — what the controller feeds
@@ -126,7 +125,6 @@ struct ShardConfig {
   double window = 0.05;        ///< Estimator/metrics window (seconds).
   std::size_t estimator_history = 5;
   double warmup = 0.0;         ///< Metrics warmup cutoff (seconds).
-  double bucket_burst_seconds = 0.1;  ///< Burst = rate * this.
   std::size_t ingress_capacity = 1 << 14;
   std::vector<double> initial_rates;  ///< Empty = equal split.
   /// Collect live histograms + telemetry snapshots (obs layer).  Off by
@@ -194,9 +192,10 @@ class Shard {
     return park_.word.load(std::memory_order_acquire) != 0;
   }
 
-  /// Shard thread only: advance the embedded simulator to `now`, ingest the
-  /// ingress backlog, release staged work under the token buckets, roll the
-  /// estimator window, publish a fresh snapshot.  Returns requests popped.
+  /// Shard thread only: advance the embedded simulator to `now`, submit the
+  /// ingress backlog to the embedded server (the dedicated-rate backend
+  /// holds each class to its rate), roll the estimator window, publish a
+  /// fresh snapshot.  Returns requests popped.
   std::size_t drain(Time now);
 
   /// Controller thread: stage a new per-class rate vector; the shard adopts
@@ -290,10 +289,9 @@ class Shard {
 
  private:
   /// A traced request between admission and completion: `ordinal` is its
-  /// per-class accepted ordinal, which — staging and the dedicated-rate
-  /// backend both being FIFO within a class — equals its release and
-  /// completion ordinals, so the later hooks find it by ordinal match
-  /// instead of a per-request map.
+  /// per-class accepted ordinal, which — the dedicated-rate backend being
+  /// FIFO within a class — equals its completion ordinal, so the completion
+  /// hook finds it by ordinal match instead of a per-request map.
   struct PendingTrace {
     std::uint64_t ordinal = 0;
     obs::Span span;
@@ -311,15 +309,12 @@ class Shard {
   // Span hooks (shard thread; each fires 1-in-trace_sample_period).
   void trace_shed(ClassId c, const Request& req, Time now);
   void trace_admit(ClassId c, const Request& req, Time now);
-  void trace_release(ClassId c, Time now);
   void trace_complete(const Request& req);
 
   ShardConfig cfg_;
   Simulator sim_;
   std::unique_ptr<Server> server_;
   MpscQueue<Request> ingress_;
-  std::vector<std::deque<Request>> staged_;
-  std::vector<TokenBucket> buckets_;
   LoadEstimator estimator_;
   Time next_roll_;
   std::vector<double> rates_;
@@ -383,13 +378,11 @@ class Shard {
 
   // Request-lifecycle tracing (shard-thread private except the SPSC ring).
   // trace_mask_ follows the sample_mask_ idiom: all-ones when tracing is
-  // off, so every span hook is one AND+branch that never fires.  released_
-  // is allocated unconditionally (per-class u64s) so the heap layout does
-  // not shift with tracing; the ring and pending deques — like the
-  // telemetry histograms — are allocated LAST in the ctor.
+  // off, so every span hook is one AND+branch that never fires.  The ring
+  // and pending deques — like the telemetry histograms — are allocated
+  // LAST in the ctor, so the heap layout does not shift with tracing.
   std::uint64_t trace_mask_ = ~std::uint64_t{0};
   std::uint64_t ctrl_tick_seq_ = 0;  ///< Adopted at the last rate handoff.
-  std::vector<std::uint64_t> released_;  ///< Staging releases, per class.
   std::vector<std::deque<PendingTrace>> pending_spans_;
   std::unique_ptr<obs::SpanRing> span_ring_;
 

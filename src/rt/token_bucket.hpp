@@ -1,12 +1,12 @@
-// Deficit token bucket: per-class work-rate policing at the shard boundary.
+// Deficit token bucket: per-class work-rate metering.
 //
-// The controller's psd_allocation output is a work consumption rate r_c per
-// class (work units per second).  The shard's dispatcher releases a staged
-// request of size s only while the class bucket is non-negative, then debits
-// s — the bucket may go into deficit, which it pays off at `rate`, so a
-// single request larger than the burst allowance delays its class instead of
-// deadlocking it (the classic strict-bucket failure with heavy-tailed sizes,
-// where one Bounded-Pareto giant can exceed any reasonable burst).
+// Its one user is the `token-bucket` admission gate (admission/
+// admission.hpp TokenBucketGate), which admits a request of size s only
+// while its class bucket is non-negative, then debits s — the bucket may go
+// into deficit, which it pays off at `rate`, so a single request larger
+// than the burst allowance delays its class instead of deadlocking it (the
+// classic strict-bucket failure with heavy-tailed sizes, where one
+// Bounded-Pareto giant can exceed any reasonable burst).
 //
 // Long-run admitted work rate converges to `rate`; `burst` bounds how much
 // unused allowance a quiet class can bank.  Owned and used by exactly one

@@ -89,19 +89,41 @@ JsonObject& JsonObject::raw(const std::string& name,
 
 std::string JsonObject::str() const { return "{" + body_ + "}"; }
 
-std::string json_array(const std::vector<double>& v) {
-  std::string out;
-  append_json_array(out, v);
-  return out;
-}
+namespace {
 
-void append_json_array(std::string& out, const std::vector<double>& v) {
+void append_doubles(std::string& out, const double* v, std::size_t n) {
   out += '[';
-  for (std::size_t i = 0; i < v.size(); ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     if (i > 0) out += ',';
     append_json_number(out, v[i]);
   }
   out += ']';
+}
+
+}  // namespace
+
+std::string json_array(const std::vector<double>& v) {
+  return json_array(v.data(), v.size());
+}
+
+std::string json_array(const double* v, std::size_t n) {
+  std::string out;
+  append_doubles(out, v, n);
+  return out;
+}
+
+std::string json_array(const std::uint64_t* v, std::size_t n) {
+  std::string out = "[";
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i > 0) out += ',';
+    out += std::to_string(v[i]);
+  }
+  out += ']';
+  return out;
+}
+
+void append_json_array(std::string& out, const std::vector<double>& v) {
+  append_doubles(out, v.data(), v.size());
 }
 
 std::unordered_set<std::string> load_completed_keys(

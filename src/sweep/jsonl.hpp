@@ -59,6 +59,10 @@ class JsonObject {
 
 /// Render a numeric array: "[1,2.5,null]".
 std::string json_array(const std::vector<double>& v);
+/// The same for the `n` values at `v`.
+std::string json_array(const double* v, std::size_t n);
+/// Render an unsigned integer array: "[0,17,3]".
+std::string json_array(const std::uint64_t* v, std::size_t n);
 /// json_array(v), appended to `out`.
 void append_json_array(std::string& out, const std::vector<double>& v);
 

@@ -138,7 +138,6 @@ ShardConfig telemetry_shard_config() {
   cfg.num_classes = 2;
   cfg.capacity = 1.0;
   cfg.window = 1.0;
-  cfg.bucket_burst_seconds = 10.0;
   cfg.telemetry = true;
   cfg.telemetry_sample_period = 1;  // exact fills: every event recorded
   return cfg;

@@ -109,7 +109,6 @@ ShardConfig two_class_config() {
   cfg.num_classes = 2;
   cfg.capacity = 1.0;
   cfg.window = 1.0;
-  cfg.bucket_burst_seconds = 10.0;  // buckets out of the way by default
   return cfg;
 }
 
@@ -134,25 +133,28 @@ TEST(Shard, ServesWithExactSimulatedTimestamps) {
   EXPECT_DOUBLE_EQ(m.slowdown(0).mean(), 0.5);
 }
 
-TEST(Shard, TokenBucketStagesWorkBeyondTheClassRate) {
+TEST(Shard, DedicatedBackendHoldsEachClassToItsRate) {
   ShardConfig cfg = two_class_config();
-  cfg.bucket_burst_seconds = 1.0;  // burst = 1 work unit
   cfg.initial_rates = {0.5, 0.5};
   Shard shard(cfg, Rng(1));
 
-  // A size-2 giant against a burst of 1: released immediately (deficit
-  // semantics), leaving the bucket at -1; the follow-up request stages
-  // until the deficit is paid off at rate 0.5 (t = 2).
+  // Class 1 runs at rate 0.5: a size-2 request then a size-1 request, both
+  // at t = 0, complete at 4 and 6 — the second waits behind the first no
+  // matter how the drains fall.
   ASSERT_TRUE(shard.submit(make_request(1, 0.0, 2.0, 1)));
   ASSERT_TRUE(shard.submit(make_request(1, 0.0, 1.0, 2)));
   shard.drain(0.0);
-  ShardSnapshot snap = shard.snapshot();
-  EXPECT_EQ(snap.staged[1], 1u);
-
-  shard.drain(1.9);  // level -0.05: still staged
-  EXPECT_EQ(shard.snapshot().staged[1], 1u);
-  shard.drain(2.0);  // level back to 0: released
-  EXPECT_EQ(shard.snapshot().staged[1], 0u);
+  const auto& m = shard.server().metrics();
+  shard.drain(3.999);
+  EXPECT_EQ(m.completed(1), 0u);
+  shard.drain(4.0);
+  EXPECT_EQ(m.completed(1), 1u);
+  shard.drain(5.999);
+  EXPECT_EQ(m.completed(1), 1u);
+  shard.drain(6.0);
+  EXPECT_EQ(m.completed(1), 2u);
+  // Slowdowns: 0/4 (served at once) and 4/2 (waited for the giant).
+  EXPECT_EQ(m.slowdown(1).mean(), 1.0);
 }
 
 TEST(Shard, CountsDropsWhenIngressOverflows) {

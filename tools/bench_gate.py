@@ -2,11 +2,17 @@
 """Perf regression gate over BENCH_*.json (JSONL) records.
 
 Compares a freshly measured records file against the checked-in baseline and
-fails (exit 1) when any gated benchmark's ns_per_op regressed by more than
-the allowed fraction.  Records are keyed on (suite, bench, impl) for
+fails (exit 1) when any gated benchmark regressed by more than the allowed
+fraction.  Records are keyed on (suite, bench, impl) for
 dedup — when a file holds several records for one key (append-mode reruns)
 the LAST one wins, the files being append-only logs — and gated by
 (suite, bench): a gated bench is expected to have one impl per file.
+
+A record names the field it is gated on and that field's direction, e.g.
+"metric":"goodput_tu","better":"higher"; a record without them is gated on
+ns_per_op, lower is better.  A lower-is-better metric regresses when
+fresh/base - 1 exceeds the threshold, a higher-is-better one when
+base/fresh - 1 does.
 
 By default the gate covers the simulator suite's full_server_* benches
 (BENCH_hot_path.json).  `--suite rt` / `--suite workload` gate the
@@ -44,6 +50,22 @@ def load_records(path):
     return records
 
 
+def gated_metric(rec):
+    """(field, direction) a record is gated on."""
+    better = rec.get("better", "lower")
+    if better not in ("lower", "higher"):
+        raise SystemExit(f"{rec.get('bench')}: unknown direction {better!r}")
+    return rec.get("metric", "ns_per_op"), better
+
+
+def regression(fresh, base, better):
+    """Fractional regression of `fresh` against `base`; > 0 is worse."""
+    worse, best = (fresh, base) if better == "lower" else (base, fresh)
+    if best <= 0.0:
+        return 0.0 if worse <= 0.0 else float("inf")
+    return worse / best - 1.0
+
+
 def write_summary_md(path, suite, allowed, rows):
     """Append a bench-delta markdown table (the $GITHUB_STEP_SUMMARY shape).
 
@@ -51,8 +73,8 @@ def write_summary_md(path, suite, allowed, rows):
     summary file in CI.
     """
 
-    def fmt_ns(v):
-        return f"{float(v):.1f}" if v is not None else "—"
+    def fmt_value(v):
+        return f"{float(v):.6g}" if v is not None else "—"
 
     def fmt_delta(d):
         return f"{d:+.1%}" if d is not None else "—"
@@ -60,13 +82,13 @@ def write_summary_md(path, suite, allowed, rows):
     badge = {"OK": "✅", "REGRESSED": "❌", "new": "🆕", "missing": "❌"}
     with open(path, "a", encoding="utf-8") as fh:
         fh.write(f"### Bench gate: `{suite}` (threshold {allowed:.0%})\n\n")
-        fh.write("| bench | fresh ns/op | baseline ns/op | delta | |\n")
-        fh.write("|---|---:|---:|---:|---|\n")
-        for bench, fresh_ns, base_ns, delta, verdict in rows:
+        fh.write("| bench | metric | fresh | baseline | regression | |\n")
+        fh.write("|---|---|---:|---:|---:|---|\n")
+        for bench, metric, fresh, base, delta, verdict in rows:
             fh.write(
-                f"| `{bench}` | {fmt_ns(fresh_ns)} | {fmt_ns(base_ns)} "
-                f"| {fmt_delta(delta)} | {badge.get(verdict, verdict)} "
-                f"{verdict} |\n"
+                f"| `{bench}` | {metric} | {fmt_value(fresh)} "
+                f"| {fmt_value(base)} | {fmt_delta(delta)} "
+                f"| {badge.get(verdict, verdict)} {verdict} |\n"
             )
         fh.write("\n")
 
@@ -92,13 +114,13 @@ def main():
         "--threshold",
         type=float,
         default=25.0,
-        help="allowed ns_per_op increase in PERCENT (default 25)",
+        help="allowed regression in PERCENT (default 25)",
     )
     ap.add_argument(
         "--max-regress",
         type=float,
         default=None,
-        help="legacy spelling: allowed fractional increase (0.25 == "
+        help="legacy spelling: allowed fractional regression (0.25 == "
         "--threshold 25); wins over --threshold when both are given",
     )
     ap.add_argument(
@@ -143,7 +165,7 @@ def main():
         )
 
     failures = []
-    rows = []  # (bench, fresh_ns, base_ns, delta, verdict) for --summary-md
+    rows = []  # (bench, metric, fresh, base, regression, verdict)
     for bench in gated:
         fresh_rec = next(
             (r for k, r in fresh.items() if k[1] == bench and in_suite(k)),
@@ -155,30 +177,39 @@ def main():
         )
         if base_rec is None:
             print(f"[gate] {bench}: new record, skipping (no baseline yet)")
-            fresh_ns = fresh_rec.get("ns_per_op") if fresh_rec else None
-            rows.append((bench, fresh_ns, None, None, "new"))
+            metric = gated_metric(fresh_rec)[0] if fresh_rec else "ns_per_op"
+            value = fresh_rec.get(metric) if fresh_rec else None
+            rows.append((bench, metric, value, None, None, "new"))
             continue
+        metric, better = gated_metric(base_rec)
         if fresh_rec is None:
             failures.append(f"{bench}: missing from fresh records")
-            rows.append((bench, None, base_rec.get("ns_per_op"), None,
+            rows.append((bench, metric, None, base_rec.get(metric), None,
                          "missing"))
             continue
-        try:
-            fresh_ns = float(fresh_rec["ns_per_op"])
-            base_ns = float(base_rec["ns_per_op"])
-        except (KeyError, TypeError, ValueError):
-            failures.append(f"{bench}: record lacks a numeric ns_per_op")
+        if gated_metric(fresh_rec) != (metric, better):
+            failures.append(
+                f"{bench}: fresh record gates {gated_metric(fresh_rec)}, "
+                f"baseline {(metric, better)}; refresh the baseline"
+            )
             continue
-        ratio = fresh_ns / base_ns
-        verdict = "OK" if ratio <= 1.0 + allowed else "REGRESSED"
+        try:
+            fresh_v = float(fresh_rec[metric])
+            base_v = float(base_rec[metric])
+        except (KeyError, TypeError, ValueError):
+            failures.append(f"{bench}: record lacks a numeric {metric}")
+            continue
+        worse = regression(fresh_v, base_v, better)
+        verdict = "OK" if worse <= allowed else "REGRESSED"
         print(
-            f"[gate] {bench}: {fresh_ns:.1f} ns vs baseline {base_ns:.1f} ns "
-            f"({ratio - 1.0:+.1%}) {verdict}"
+            f"[gate] {bench}: {metric} {fresh_v:.6g} vs baseline "
+            f"{base_v:.6g} ({better} is better, regression {worse:+.1%}) "
+            f"{verdict}"
         )
-        rows.append((bench, fresh_ns, base_ns, ratio - 1.0, verdict))
+        rows.append((bench, metric, fresh_v, base_v, worse, verdict))
         if verdict != "OK":
             failures.append(
-                f"{bench}: {fresh_ns:.1f} ns vs {base_ns:.1f} ns baseline "
+                f"{bench}: {metric} {fresh_v:.6g} vs {base_v:.6g} baseline "
                 f"(> {allowed:.0%} regression)"
             )
 

@@ -66,7 +66,6 @@ options:
   --period-ms MS          controller reallocation period     (default 50)
   --allocator NAME        psd | adaptive | equal | loadprop | none
                           (default adaptive)
-  --burst SEC             token-bucket burst allowance       (default 0.1)
   --seed N                master seed                        (default fixed)
   --pin                   pin threads to cores (best effort)
   --replay-trace FILE     drive arrivals from a recorded trace (see psdsim
@@ -186,8 +185,6 @@ bool parse_rt_flag(const std::string& arg,
         parse_double(arg, value(), "--period-ms 50") * 1e-3;
   else if (arg == "--allocator")
     cfg.allocator = parse_allocator(arg, value());
-  else if (arg == "--burst")
-    cfg.bucket_burst_seconds = parse_double(arg, value(), "--burst 0.1");
   else if (arg == "--seed")
     cfg.seed = parse_uint(arg, value(), "--seed 42");
   else if (arg == "--pin")
