@@ -254,8 +254,7 @@ ClusterReport ClusterRuntime::run() {
 
   const std::size_t num_nodes = handles_.size();
   std::atomic<bool> stop_gen{false};
-  std::atomic<bool> stop_rest{false};
-  std::atomic<bool> kill_requested{false};
+  StopSignal stop_rest;
 
   // Shard threads stop per shard (Shard::request_stop), so a mid-run kill
   // stops just that node's while the rest of the cluster keeps serving.
@@ -281,26 +280,31 @@ ClusterReport ClusterRuntime::run() {
         [this, g, &stop_gen] { run_source(*gens_[g], clock_, stop_gen); });
   }
 
+  std::vector<Shard*> shards;
+  for (const auto& node : nodes_) {
+    const std::vector<Shard*> own = node->shard_ptrs();
+    shards.insert(shards.end(), own.begin(), own.end());
+  }
+
   // One controller thread drives node ticks, global rebalances, AND the
   // kill: topology changes live on this thread so the router's alive mask
   // has exactly one writer (dispatch reads it under the dispatch mutex).
-  threads.emplace_back([this, num_nodes, &stop_rest, &kill_requested,
-                        &stop_node] {
+  // It sleeps until the nearest of its deadlines: the kill, or the next
+  // tick with its pre-tick pass (a killed node's stopped shards ignore the
+  // pass's wake).
+  threads.emplace_back([this, num_nodes, &shards, &stop_rest, &stop_node] {
     Time next_node = cfg_.node.controller_period;
-    bool local_killed = false;
-    while (!stop_rest.load(std::memory_order_acquire)) {
-      if (kill_requested.load(std::memory_order_acquire) && !local_killed) {
-        local_killed = true;
+    Time kill_at = cfg_.kill_at >= 0.0 ? cfg_.kill_at : kInf;
+    for (;;) {
+      const Time tick_at = std::min(next_node, next_rebalance_);
+      if (kill_at < tick_at) {
+        if (stop_rest.wait_until(clock_, kill_at)) break;
+        kill_at = kInf;
         const std::size_t k = cfg_.kill_node;
         do_kill(k, [&stop_node, k] { stop_node(k); });
+        continue;
       }
-      // Backstop: a shard parked through pushes due inside its wake window
-      // drains at least once per loop.
-      for (const auto& node : nodes_) {
-        for (std::size_t s = 0; s < node->num_shards(); ++s) {
-          node->shard(s).wake();
-        }
-      }
+      if (!await_tick(stop_rest, clock_, tick_at, shards)) break;
       const Time now = clock_.now();
       if (now >= next_node) {
         for (std::size_t i = 0; i < num_nodes; ++i) {
@@ -314,33 +318,22 @@ ClusterReport ClusterRuntime::run() {
         global_tick(now);
         next_rebalance_ = now + cfg_.rebalance_period;
       }
-      const double dt = std::min(next_node, next_rebalance_) - clock_.now();
-      if (dt > 0.0) {
-        std::this_thread::sleep_for(
-            std::chrono::duration<double>(std::min(dt, 1e-3)));
-      }
     }
   });
 
-  // Let the workload run its course, requesting the kill when its time
-  // comes (the controller thread executes it).
-  while (clock_.now() < cfg_.node.duration) {
-    if (cfg_.kill_at >= 0.0 && clock_.now() >= cfg_.kill_at &&
-        !kill_requested.load(std::memory_order_acquire)) {
-      kill_requested.store(true, std::memory_order_release);
-    }
-    std::this_thread::sleep_for(std::chrono::duration<double>(
-        std::min(cfg_.node.duration - clock_.now(), 1e-3)));
-  }
+  // Let the workload run its course.
+  sleep_until_clock(clock_, cfg_.node.duration);
   stop_gen.store(true, std::memory_order_release);
 
   // Grace period: alive shards keep draining until the accepted backlog
-  // clears (bounded, as in the single-node runtime).
+  // clears (bounded, and woken each iteration, as in the single-node
+  // runtime).
   const Time grace_end = clock_.now() + 2.0;
   while (clock_.now() < grace_end && alive_outstanding() > 0) {
+    for (Shard* s : shards) s->wake();
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  stop_rest.store(true, std::memory_order_release);
+  stop_rest.raise();
   // The controller thread first: it may have joined a killed node's shard
   // threads, and its join orders that before the checks below.
   for (auto& t : threads) t.join();

@@ -19,6 +19,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <variant>
 
 #include "common/error.hpp"
@@ -97,6 +99,38 @@ class ClockVariant {
 
  private:
   Alternatives alt_;
+};
+
+/// A stop request that ends a runtime thread's timed wait at once: the
+/// threads of a threaded run sleep until their next deadline or a stop,
+/// never in fixed steps, so a stop does not lengthen shutdown.
+class StopSignal {
+ public:
+  /// Any thread: wake every waiter; later waits return at once.
+  void raise() {
+    {
+      std::lock_guard<std::mutex> lock(m_);
+      raised_ = true;
+    }
+    cv_.notify_all();
+  }
+
+  /// Sleep until `clock` reads at least `t` (finite) or raise(); true
+  /// when raised.
+  bool wait_until(const ClockVariant& clock, Time t) {
+    std::unique_lock<std::mutex> lock(m_);
+    for (;;) {
+      if (raised_) return true;
+      const Duration dt = t - clock.now();
+      if (dt <= 0.0) return false;
+      cv_.wait_for(lock, std::chrono::duration<double>(dt));
+    }
+  }
+
+ private:
+  std::mutex m_;
+  std::condition_variable cv_;
+  bool raised_ = false;
 };
 
 }  // namespace psd::rt

@@ -16,11 +16,23 @@
 // The lifecycle (step_to / run / finish / report) stays on the Runtime
 // itself, reachable through runtime().
 //
+// Owed wakes: a push that lands in a parked shard without ending the park
+// (its due stamp falls inside the park's wake window, rt/shard.hpp) leaves
+// the handle owing that park its wake.  The handle's next submit whose due
+// stamp reaches the park's wake time ends the park, whichever shard that
+// submit goes to; the record names the park, so a later park of the same
+// shard is never cut short.  A coalesced push therefore waits until the
+// first of: a later push to its shard, by any producer, due past the wake
+// time; a later push by this handle, to any shard, due past it; the
+// controller's pass just before its next tick.
+//
 // The handle is a non-owning view: it borrows the Runtime and adds only the
-// round-robin cursors.  submit() runs on one thread at a time per handle
-// (the cursors are plain integers); snapshot readers are free.
+// round-robin cursors and the owed wakes.  submit() runs on one thread at
+// a time per handle (the cursors are plain integers); snapshot readers are
+// free.
 #pragma once
 
+#include <algorithm>
 #include <vector>
 
 #include "rt/runtime.hpp"
@@ -30,15 +42,21 @@ namespace psd::rt {
 class RuntimeHandle {
  public:
   explicit RuntimeHandle(Runtime& rt)
-      : rt_(&rt), rr_(rt.config().num_classes(), 0) {}
+      : rt_(&rt),
+        rr_(rt.config().num_classes(), 0),
+        owed_(rt.num_shards()) {}
 
   /// Inject one request; false (a counted drop) when the target shard's
   /// ingress ring is full.  One dispatcher thread at a time.
   bool submit(const Request& req) {
+    if (req.arrival >= owed_at_) settle(req.arrival);
     std::size_t& cursor = rr_[req.cls];
     const std::size_t shard = cursor;
     cursor = (cursor + 1) % rt_->num_shards();
-    return rt_->shard(shard).submit(req);
+    Shard::CoalescedPark& owed = owed_[shard];
+    const bool ok = rt_->shard(shard).submit(req, &owed);
+    owed_at_ = std::min(owed_at_, owed.wake_at);
+    return ok;
   }
 
   /// Seqlock-consistent state of every shard (any thread).
@@ -57,8 +75,26 @@ class RuntimeHandle {
   const Runtime& runtime() const { return *rt_; }
 
  private:
+  /// End every owed park whose wake time `due` reaches; keep the rest.
+  void settle(Time due) {
+    owed_at_ = kInf;
+    for (std::size_t i = 0; i < owed_.size(); ++i) {
+      Shard::CoalescedPark& owed = owed_[i];
+      if (owed.wake_at <= due) {
+        rt_->shard(i).end_park(owed.park);
+        owed = {};
+      } else {
+        owed_at_ = std::min(owed_at_, owed.wake_at);
+      }
+    }
+  }
+
   Runtime* rt_;
   std::vector<std::size_t> rr_;  ///< Per-class shard cursor (submit spray).
+  /// Per shard: the park this handle owes a wake (park 0 = none).  A
+  /// record a newer report replaced named a park that has already ended.
+  std::vector<Shard::CoalescedPark> owed_;
+  Time owed_at_ = kInf;  ///< No later than the earliest owed wake time.
 };
 
 }  // namespace psd::rt

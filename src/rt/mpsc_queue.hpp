@@ -9,6 +9,15 @@
 // surfaces as a counted drop, never as backpressure into the arrival
 // process (matching the paper's open-loop traffic model).
 //
+// Zero state: a cell stores its sequence relative to its own index
+// (stored = seq - index), so the all-zero cell reads "free for lap 0" and
+// a ring of all-zero memory is a valid empty ring.  The cells live in one
+// anonymous mapping that the constructor never writes: the kernel commits
+// a page when a producer first reaches it, so a ring pays its page faults
+// on its first lap, and a short or idle runtime never pays them.  The
+// mapping is page-aligned, so a 64-byte cell never straddles two cache
+// lines.
+//
 // Liveness: a producer that claimed a slot writes the value and then
 // releases the cell by storing its sequence; the consumer waits only on the
 // cell at its own cursor, so a stalled producer delays the requests behind
@@ -24,42 +33,55 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <vector>
+#include <cstdlib>
+#include <new>
+#include <type_traits>
 
 #include "common/error.hpp"
+
+#ifdef __linux__
+#include <sys/mman.h>
+#endif
 
 namespace psd::rt {
 
 template <typename T>
 class MpscQueue {
+  // Zero pages are live cells without a constructor pass, and unmapping
+  // them needs no destructor pass.
+  static_assert(std::is_trivially_destructible_v<T> &&
+                    (std::is_aggregate_v<T> || std::is_scalar_v<T>),
+                "MpscQueue cells are zero-filled memory: T must be a "
+                "trivially destructible aggregate or scalar");
+
  public:
   /// Capacity is rounded up to a power of two (>= 2).
   explicit MpscQueue(std::size_t capacity) {
     std::size_t cap = 2;
     while (cap < capacity) cap <<= 1;
-    cells_ = std::vector<Cell>(cap);
     mask_ = cap - 1;
-    for (std::size_t i = 0; i < cap; ++i) {
-      cells_[i].seq.store(i, std::memory_order_relaxed);
-    }
+    cells_ = map_cells(cap);
   }
+
+  ~MpscQueue() { unmap_cells(cells_, mask_ + 1); }
 
   MpscQueue(const MpscQueue&) = delete;
   MpscQueue& operator=(const MpscQueue&) = delete;
 
   /// Multi-producer enqueue; false when the ring is full.
   bool try_push(const T& value) {
-    std::size_t pos = enqueue_pos_.load(std::memory_order_relaxed);
+    std::uint64_t pos = enqueue_pos_.load(std::memory_order_relaxed);
     for (;;) {
       Cell& cell = cells_[pos & mask_];
-      const std::size_t seq = cell.seq.load(std::memory_order_acquire);
-      const std::intptr_t diff = static_cast<std::intptr_t>(seq) -
-                                 static_cast<std::intptr_t>(pos);
+      const std::uint64_t seq =
+          seq_of(cell).load(std::memory_order_acquire) + (pos & mask_);
+      const auto diff = static_cast<std::int64_t>(seq - pos);
       if (diff == 0) {
         if (enqueue_pos_.compare_exchange_weak(pos, pos + 1,
                                                std::memory_order_relaxed)) {
           cell.value = value;
-          cell.seq.store(pos + 1, std::memory_order_release);
+          seq_of(cell).store(pos + 1 - (pos & mask_),
+                             std::memory_order_release);
           return true;
         }
         // CAS failure reloaded `pos`; retry with the fresh cursor.
@@ -74,14 +96,16 @@ class MpscQueue {
   /// Single-consumer dequeue; false when empty (or the head producer has
   /// claimed but not yet released its cell).
   bool try_pop(T& out) {
-    Cell& cell = cells_[dequeue_pos_ & mask_];
-    const std::size_t seq = cell.seq.load(std::memory_order_acquire);
-    const std::intptr_t diff = static_cast<std::intptr_t>(seq) -
-                               static_cast<std::intptr_t>(dequeue_pos_ + 1);
+    const std::uint64_t index = dequeue_pos_ & mask_;
+    Cell& cell = cells_[index];
+    const std::uint64_t seq =
+        seq_of(cell).load(std::memory_order_acquire) + index;
+    const auto diff = static_cast<std::int64_t>(seq - (dequeue_pos_ + 1));
     if (diff < 0) return false;
     PSD_CHECK(diff == 0, "mpsc consumer raced (single-consumer contract)");
     out = cell.value;
-    cell.seq.store(dequeue_pos_ + mask_ + 1, std::memory_order_release);
+    seq_of(cell).store(dequeue_pos_ + mask_ + 1 - index,
+                       std::memory_order_release);
     ++dequeue_pos_;
     return true;
   }
@@ -90,17 +114,18 @@ class MpscQueue {
   /// has claimed but not yet released reads as empty, exactly as in
   /// try_pop; the acquire load pairs with the producer's release.
   bool can_pop() const {
-    const Cell& cell = cells_[dequeue_pos_ & mask_];
-    return cell.seq.load(std::memory_order_acquire) == dequeue_pos_ + 1;
+    const std::uint64_t index = dequeue_pos_ & mask_;
+    return seq_of(cells_[index]).load(std::memory_order_acquire) + index ==
+           dequeue_pos_ + 1;
   }
 
   std::size_t capacity() const { return mask_ + 1; }
 
   /// Producer-side estimate of occupancy (racy, for snapshots only).
   std::size_t approx_size() const {
-    const std::size_t e = enqueue_pos_.load(std::memory_order_relaxed);
-    const std::size_t d = consumed_.load(std::memory_order_relaxed);
-    return e >= d ? e - d : 0;
+    const std::uint64_t e = enqueue_pos_.load(std::memory_order_relaxed);
+    const std::uint64_t d = consumed_.load(std::memory_order_relaxed);
+    return e >= d ? static_cast<std::size_t>(e - d) : 0;
   }
 
   /// Consumer calls this after a batch of pops so approx_size stays honest.
@@ -110,18 +135,46 @@ class MpscQueue {
 
  private:
   struct Cell {
-    std::atomic<std::size_t> seq{0};
-    T value{};
+    std::uint64_t seq;  ///< Sequence minus the cell's index; atomic_ref only.
+    T value;
   };
+
+  // The cells are mapped writable; can_pop's const view only loads.
+  static std::atomic_ref<std::uint64_t> seq_of(const Cell& cell) {
+    return std::atomic_ref<std::uint64_t>(
+        const_cast<std::uint64_t&>(cell.seq));
+  }
+
+  /// `cap` zero-filled cells that no one has written yet.
+  static Cell* map_cells(std::size_t cap) {
+#ifdef __linux__
+    void* p = ::mmap(nullptr, cap * sizeof(Cell), PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED) throw std::bad_alloc();
+#else
+    void* p = std::calloc(cap, sizeof(Cell));
+    if (p == nullptr) throw std::bad_alloc();
+#endif
+    return static_cast<Cell*>(p);
+  }
+
+  static void unmap_cells(Cell* cells, std::size_t cap) {
+#ifdef __linux__
+    ::munmap(cells, cap * sizeof(Cell));
+#else
+    (void)cap;
+    std::free(cells);
+#endif
+  }
 
   static constexpr std::size_t kCacheLine = 64;
 
-  std::vector<Cell> cells_;
+  Cell* cells_ = nullptr;
   std::size_t mask_ = 0;
-  alignas(kCacheLine) std::atomic<std::size_t> enqueue_pos_{0};
+  alignas(kCacheLine) std::atomic<std::uint64_t> enqueue_pos_{0};
   // Consumer-private cursor on its own line; consumed_ is its public echo.
-  alignas(kCacheLine) std::size_t dequeue_pos_ = 0;
-  std::atomic<std::size_t> consumed_{0};
+  alignas(kCacheLine) std::uint64_t dequeue_pos_ = 0;
+  std::atomic<std::uint64_t> consumed_{0};
 };
 
 }  // namespace psd::rt

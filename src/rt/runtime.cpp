@@ -29,7 +29,24 @@ LoadSource::Sink handle_sink(Runtime& rt) {
   };
 }
 
+/// How far ahead of a controller tick its pre-tick pass wakes the shards:
+/// enough for each to drain and publish before the tick reads it.
+constexpr Duration kPassLead = 1e-3;
+
 }  // namespace
+
+bool await_tick(StopSignal& stop, const ClockVariant& clock, Time tick_at,
+                const std::vector<Shard*>& shards) {
+  if (stop.wait_until(clock, tick_at - kPassLead)) return false;
+  for (Shard* s : shards) s->wake();
+  return !stop.wait_until(clock, tick_at);
+}
+
+void sleep_until_clock(const ClockVariant& clock, Time t) {
+  for (Duration dt = t - clock.now(); dt > 0.0; dt = t - clock.now()) {
+    std::this_thread::sleep_for(std::chrono::duration<double>(dt));
+  }
+}
 
 bool pin_current_thread(unsigned cpu) {
 #ifdef __linux__
@@ -320,7 +337,7 @@ RtReport Runtime::run() {
 
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   std::atomic<bool> stop_gen{false};
-  std::atomic<bool> stop_rest{false};
+  StopSignal stop_rest;
   std::vector<std::thread> threads;
   threads.reserve(shards_.size() + gens_.size() + 1);
 
@@ -341,51 +358,28 @@ RtReport Runtime::run() {
   }
   threads.emplace_back([this, hw, &stop_rest] {
     if (cfg_.pin_threads) pin_current_thread(hw - 1);
-    Time next = next_tick_;
-    while (!stop_rest.load(std::memory_order_acquire)) {
-      // Backstop: a shard parked through pushes due inside its wake window
-      // drains at least once per loop.
-      for (auto& s : shards_) s->wake();
+    const std::vector<Shard*> shards = shard_ptrs();
+    for (Time next = next_tick_; await_tick(stop_rest, clock_, next, shards);) {
       const Time now = clock_.now();
-      if (now >= next) {
-        controller_->tick(now);
-        next = now + cfg_.controller_period;
-      }
-      const double dt = next - clock_.now();
-      if (dt > 0.0) {
-        std::this_thread::sleep_for(
-            std::chrono::duration<double>(std::min(dt, 1e-3)));
-      }
+      controller_->tick(now);
+      next = now + cfg_.controller_period;
     }
   });
-  if (exporter_ != nullptr) {
-    if (exporter_->sampling_active()) {
-      threads.emplace_back([this, &stop_rest] {
-        Time next = next_sample_;
-        while (!stop_rest.load(std::memory_order_acquire)) {
-          const Time now = clock_.now();
-          if (now >= next) {
-            exporter_->sample(now);
-            next = now + cfg_.obs.stats_interval;
-          }
-          const double dt = next - clock_.now();
-          if (dt > 0.0) {
-            std::this_thread::sleep_for(
-                std::chrono::duration<double>(std::min(dt, 1e-2)));
-          }
-        }
-        // One closing sample so short runs always stream at least one line
-        // covering the full workload.
-        exporter_->sample(clock_.now());
-      });
-    }
+  if (exporter_ != nullptr && exporter_->sampling_active()) {
+    threads.emplace_back([this, &stop_rest] {
+      for (Time next = next_sample_; !stop_rest.wait_until(clock_, next);) {
+        const Time now = clock_.now();
+        exporter_->sample(now);
+        next = now + cfg_.obs.stats_interval;
+      }
+      // One closing sample so short runs always stream at least one line
+      // covering the full workload.
+      exporter_->sample(clock_.now());
+    });
   }
 
   // Let the workload run its course.
-  while (clock_.now() < cfg_.duration) {
-    std::this_thread::sleep_for(std::chrono::duration<double>(
-        std::min(cfg_.duration - clock_.now(), 1e-2)));
-  }
+  sleep_until_clock(clock_, cfg_.duration);
   stop_gen.store(true, std::memory_order_release);
   // The exporter thread keeps sampling through the grace period; the
   // watchdog must not alarm on drain-phase windows (see quiesce()).
@@ -393,12 +387,16 @@ RtReport Runtime::run() {
 
   // Grace period: shards keep draining until the accepted backlog clears
   // (bounded — a class allocated a near-zero rate may legitimately hold
-  // work its dedicated server will not finish in time).
+  // work its dedicated server will not finish in time).  The producers
+  // have stopped and the pre-tick pass comes once a controller period, so
+  // this loop wakes the shards itself: a parked shard fires the
+  // completions due in its embedded simulator only when it drains.
   const Time grace_end = clock_.now() + 2.0;
   while (clock_.now() < grace_end && total_outstanding() > 0) {
+    for (auto& s : shards_) s->wake();
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  stop_rest.store(true, std::memory_order_release);
+  stop_rest.raise();
   for (auto& s : shards_) s->request_stop();
   for (auto& t : threads) t.join();
   if (exporter_ != nullptr) exporter_->stop_http();

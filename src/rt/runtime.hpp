@@ -3,9 +3,14 @@
 //
 //   * Threaded (SteadyClock): run() spawns one thread per load generator,
 //     one per shard (Shard::serve: drain, then park until a producer wakes
-//     it), and one controller thread that also wakes parked shards once per
-//     loop, optionally affinity-pinned, runs for cfg.duration wall seconds,
-//     drains, and reports.  This is the psdserved / psdbench mode.
+//     it), one controller thread and, with a stats sink, one exporter
+//     thread, optionally affinity-pinned, runs for cfg.duration wall
+//     seconds, drains, and reports.  No thread but the generators polls:
+//     the controller and exporter sleep until their next deadline or a
+//     stop, the main thread until cfg.duration, and the controller wakes
+//     the shards 1 ms before each tick and then ticks (await_tick), 40
+//     wakes a second at the default 50-ms period.  This is the psdserved /
+//     psdbench mode.
 //   * Deterministic (ManualClock): step_to(t) advances every component on
 //     the calling thread in a fixed order — generators, shards, controller —
 //     so a fixed seed yields bit-identical reports with zero sleeps.  This
@@ -238,6 +243,17 @@ class Runtime {
 /// Best-effort affinity pin of the calling thread (Linux); false elsewhere
 /// or on failure.  Exposed for the bench harness.
 bool pin_current_thread(unsigned cpu);
+
+/// A controller thread's wait for its tick at `tick_at`: sleep until 1 ms
+/// before it, wake every shard in `shards` (the pre-tick pass: every shard
+/// drains at least once per controller period, just before the tick reads
+/// its snapshot, so an idle shard's estimator windows keep rolling), then
+/// sleep until `tick_at`.  False as soon as `stop` is raised.
+bool await_tick(StopSignal& stop, const ClockVariant& clock, Time tick_at,
+                const std::vector<Shard*>& shards);
+
+/// Sleep the calling thread until `clock` reads at least `t` (SteadyClock).
+void sleep_until_clock(const ClockVariant& clock, Time t);
 
 /// The synthetic load sources of one workload: cfg.loadgens generators,
 /// generator g drawing from Rng(cfg.seed).fork(100 + g), each running every

@@ -38,20 +38,20 @@ std::uint64_t make_trace_id(std::uint32_t shard, ClassId cls, bool shed,
 }
 
 // The park word's futex, untimed: arming a timer is most of what a timed
-// sleep costs, and the controller's backstop wake bounds every park anyway.
-// libstdc++'s std::atomic::wait spins and yields before it reaches the
-// futex, which doubles the shard CPU per wake, so it serves only as the
+// sleep costs, and the controller's pass before each tick bounds every park
+// anyway.  libstdc++'s std::atomic::wait spins and yields before it reaches
+// the futex, which doubles the shard CPU per wake, so it serves only as the
 // portable fallback.
-void futex_wait(std::atomic<std::uint32_t>& word) {
+void futex_wait(std::atomic<std::uint32_t>& word, std::uint32_t park) {
 #ifdef __linux__
   static_assert(sizeof(std::atomic<std::uint32_t>) == sizeof(std::uint32_t) &&
                 std::atomic<std::uint32_t>::is_always_lock_free);
-  // Returns at once unless the word still reads 1; a spurious return only
-  // costs the caller one extra drain.
+  // Returns at once unless the word still reads `park`; a spurious return
+  // only costs the caller one extra drain.
   syscall(SYS_futex, reinterpret_cast<std::uint32_t*>(&word),
-          FUTEX_WAIT_PRIVATE, 1u, nullptr, nullptr, 0);
+          FUTEX_WAIT_PRIVATE, park, nullptr, nullptr, 0);
 #else
-  word.wait(1, std::memory_order_acquire);
+  word.wait(park, std::memory_order_acquire);
 #endif
 }
 
@@ -156,7 +156,7 @@ Shard::Shard(const ShardConfig& cfg, Rng rng)
   publish_telemetry(0.0);
 }
 
-bool Shard::submit(const Request& req) {
+bool Shard::submit(const Request& req, CoalescedPark* coalesced) {
   obs::ScopedProfTimer prof(&prof_, obs::kProfRingPush);
   // Count BEFORE the push: once the request is in the ring the shard thread
   // may pop, serve, and complete it before this producer runs another
@@ -171,9 +171,14 @@ bool Shard::submit(const Request& req) {
   // each followed by a full fence, so either this load sees the park or
   // park's re-check sees the push, and no wake is lost.
   std::atomic_thread_fence(std::memory_order_seq_cst);
-  if (park_.word.load(std::memory_order_acquire) != 0 &&
-      req.arrival >= park_.wake_at.load(std::memory_order_relaxed)) {
-    wake();
+  const std::uint32_t park = park_.word.load(std::memory_order_acquire);
+  if (park != 0) {
+    const Time wake_at = park_.wake_at.load(std::memory_order_relaxed);
+    if (req.arrival >= wake_at) {
+      end_park(park);
+    } else if (coalesced != nullptr) {
+      *coalesced = {park, wake_at};
+    }
   }
   return true;
 }
@@ -196,10 +201,11 @@ void Shard::park(Time now) {
   park_.wake_at.store(ring_rate_ * kWakeWindow >= 1.0 ? now + kWakeWindow
                                                        : -kInf,
                       std::memory_order_relaxed);
-  park_.word.store(1);
+  park_.last = park_.last == ~std::uint32_t{0} ? 1 : park_.last + 1;
+  park_.word.store(park_.last);
   std::atomic_thread_fence(std::memory_order_seq_cst);
   if (!ingress_.can_pop() && !park_.stop.load(std::memory_order_acquire)) {
-    futex_wait(park_.word);
+    futex_wait(park_.word, park_.last);
   }
   park_.word.store(0, std::memory_order_relaxed);
 }
@@ -207,6 +213,14 @@ void Shard::park(Time now) {
 void Shard::wake() {
   if (park_.word.load(std::memory_order_relaxed) != 0 &&
       park_.word.exchange(0) != 0) {
+    futex_wake(park_.word);
+  }
+}
+
+void Shard::end_park(std::uint32_t park) {
+  std::uint32_t expected = park;
+  if (park != 0 && park_.word.load(std::memory_order_relaxed) == park &&
+      park_.word.compare_exchange_strong(expected, 0)) {
     futex_wake(park_.word);
   }
 }

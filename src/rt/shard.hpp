@@ -24,14 +24,17 @@
 // until request_stop().  An idle shard parks on a futex word and the
 // producers end the park: a push wakes it when its due stamp lies at least
 // kWakeWindow past the park instant, or at once when the shard's own
-// arrival-rate estimate expects no second request within that window.
-// wake() is the backstop the controller thread calls every loop.  Parking
-// changes only when a drain runs, never what it does (src/rt/README.md,
-// "When a shard drains").
+// arrival-rate estimate expects no second request within that window.  A
+// push that lands in a park without ending it reports that park to its
+// producer, which owes the wake: its next push whose due stamp passes the
+// park's wake time ends the park (end_park), whichever shard it goes to
+// (rt/handle.hpp).  wake() is the controller's pass just before each tick.
+// Parking changes only when a drain runs, never what it does
+// (src/rt/README.md, "When a shard drains").
 //
 // Thread roles: submit() — any producer, which may wake a parked shard;
-// serve()/drain()/finalize() — the one shard thread; wake() — anyone;
-// request_stop() — whoever started serve(); apply_rates() — the
+// serve()/drain()/finalize() — the one shard thread; wake()/end_park() —
+// anyone; request_stop() — whoever started serve(); apply_rates() — the
 // controller; snapshot() — anyone, via seqlock.
 #pragma once
 
@@ -167,6 +170,13 @@ class Shard {
   /// included, matches a 100-us sleep-poll's (src/rt/README.md).
   static constexpr Duration kWakeWindow = 100e-6;
 
+  /// A park that a push landed in without ending it: the park's number
+  /// (0 = none) and its wake time.
+  struct CoalescedPark {
+    std::uint32_t park = 0;
+    Time wake_at = kInf;
+  };
+
   Shard(const ShardConfig& cfg, Rng rng);
 
   Shard(const Shard&) = delete;
@@ -175,14 +185,20 @@ class Shard {
   /// Producer side (any thread): enqueue a request whose `arrival` is its
   /// production wall time.  Returns false (and counts a drop) on a full ring.
   /// After a push it ends the shard's park when `arrival` reaches the
-  /// published wake time; the stamp is at hand, so no clock is read.
-  bool submit(const Request& req);
+  /// published wake time; the stamp is at hand, so no clock is read.  A
+  /// push that lands in a park without ending it writes that park to
+  /// `*coalesced` (when given): the producer then owes its wake.
+  bool submit(const Request& req, CoalescedPark* coalesced = nullptr);
 
   /// Shard thread only: drain(now), then park(now), until request_stop().
   void serve(const ClockVariant& clock);
 
-  /// Any thread: end the current park, if any (the controller's backstop).
+  /// Any thread: end the current park, if any (the pre-tick pass).
   void wake();
+
+  /// Any thread: end park number `park` if the shard is still in it; a
+  /// later park of this shard is left alone (settling an owed wake).
+  void end_park(std::uint32_t park);
 
   /// Any thread: make serve() return, waking the shard if it is parked.
   void request_stop();
@@ -355,14 +371,17 @@ class Shard {
   double ring_rate_ = 0.0;
 
   // Park handshake, on a cache line of its own: the shard writes it once
-  // per park, producers read it after every push.  `word` is 1 while the
-  // shard waits on it; whoever exchanges it back to 0 owes the futex wake.
-  // `wake_at` is written before `word` is set, so a producer that reads
-  // the word as 1 also reads the wake time of that park.
+  // per park, producers read it after every push.  `word` holds the park's
+  // number while the shard waits on it (numbers count parks and skip 0);
+  // whoever swaps it back to 0 owes the futex wake.  `wake_at` is written
+  // before `word` is set, so a producer that reads the word as a park's
+  // number also reads the wake time of that park (or of a later one, whose
+  // re-check of the ring then sees the producer's push).
   struct alignas(64) ParkLine {
     std::atomic<std::uint32_t> word{0};
     std::atomic<bool> stop{false};
     std::atomic<Time> wake_at{0.0};
+    std::uint32_t last = 0;  ///< Number of the latest park (shard thread).
   };
   ParkLine park_;
 

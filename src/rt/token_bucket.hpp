@@ -32,15 +32,6 @@ class TokenBucket {
     PSD_REQUIRE(burst > 0.0, "burst must be positive");
   }
 
-  /// Re-target the accrual rate (controller pushed a new allocation).
-  /// Accrues at the old rate up to `now` first, so mid-window changes are
-  /// exact; banked tokens and any deficit carry over.
-  void set_rate(double rate, Time now) {
-    PSD_REQUIRE(rate >= 0.0, "token rate must be non-negative");
-    refill(now);
-    rate_ = rate;
-  }
-
   /// Release `amount` units of work if the bucket is currently non-negative
   /// (deficit semantics: the debit itself may push the level below zero).
   bool try_consume(double amount, Time now) {

@@ -12,6 +12,11 @@
 #include <vector>
 
 #include "rt/mpsc_queue.hpp"
+#include "workload/request.hpp"
+
+#ifdef __linux__
+#include <sys/resource.h>
+#endif
 
 namespace psd::rt {
 namespace {
@@ -55,6 +60,50 @@ TEST(MpscQueue, WrapsAroundManyLaps) {
   q.publish_consumed();
   EXPECT_EQ(q.approx_size(), 0u);
 }
+
+TEST(MpscQueue, ZeroStateCellsSurviveManyLaps) {
+  // Each cell stores its sequence relative to its index, starting from the
+  // all-zero state.  Fill and empty a 4-cell ring lap after lap, from every
+  // starting offset, so laps begin at every cell: the full and the empty
+  // ring must read as such at every lap boundary.
+  for (std::uint64_t offset = 0; offset < 4; ++offset) {
+    MpscQueue<std::uint64_t> q(4);
+    std::uint64_t out = 0;
+    for (std::uint64_t i = 0; i < offset; ++i) {
+      ASSERT_TRUE(q.try_push(i));
+      ASSERT_TRUE(q.try_pop(out));
+    }
+    std::uint64_t next = 0;
+    for (int lap = 0; lap < 8; ++lap) {
+      for (std::uint64_t i = 0; i < 4; ++i) ASSERT_TRUE(q.try_push(next + i));
+      EXPECT_FALSE(q.try_push(99)) << "offset " << offset << " lap " << lap;
+      for (std::uint64_t i = 0; i < 4; ++i) {
+        ASSERT_TRUE(q.can_pop());
+        ASSERT_TRUE(q.try_pop(out));
+        EXPECT_EQ(out, next + i);
+      }
+      EXPECT_FALSE(q.can_pop()) << "offset " << offset << " lap " << lap;
+      EXPECT_FALSE(q.try_pop(out)) << "offset " << offset << " lap " << lap;
+      next += 4;
+    }
+  }
+}
+
+#ifdef __linux__
+TEST(MpscQueue, ConstructionTouchesNoCells) {
+  // 2^20 request cells map 64 MB.  Writing every cell's sequence at
+  // construction would fault in about 16k pages; the zero state needs none.
+  rusage before{};
+  rusage after{};
+  getrusage(RUSAGE_THREAD, &before);
+  {
+    MpscQueue<Request> q(std::size_t{1} << 20);
+    getrusage(RUSAGE_THREAD, &after);
+    EXPECT_EQ(q.capacity(), std::size_t{1} << 20);
+  }
+  EXPECT_LT(after.ru_minflt - before.ru_minflt, 64);
+}
+#endif
 
 /// A value whose copy-assignment runs a hook.  try_push assigns the value
 /// after it claimed the cell and before it releases it, so the hook sees
